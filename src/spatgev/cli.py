@@ -7,11 +7,22 @@ the config hash, seed, package version, and a content hash per artifact.
 Reruns with the same inputs are byte-identical except the manifest
 timestamp.  Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.
+
+A fit directory is the whole fit.  Besides the draws (theta_draws.csv,
+eta_draws.csv, nu_draws.csv), their summaries (theta_summary.csv,
+latent_summary.csv) and model.json, fit writes max_step.csv: per station the
+link-space mode, the full q x q precision block (repr floats, so they read
+back bit for bit) and the fit's loglik, n_obs, converged, hessian_repaired
+and n_restarts.  model.json records the sha256 of max_step.csv.  predict,
+return-levels and aggregate rebuild the latent structure from that file and
+never rerun the max step; a fit directory whose max_step.csv is missing or
+does not match the recorded hash is refused with a data error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -41,10 +52,11 @@ from .latent import McmcConfig, SmoothResult, ThetaSamples, build_structure, smo
 from .predict import UngaugedSite, posterior_predictive, return_level, ungauged_return_level
 from .selection import SelectionConfig, select_all
 from .simulate import Scenario, simulate_dataset
-from .site_fit import PARAM_NAMES, fit_all_sites
+from .site_fit import PARAM_NAMES, SiteFit, StackedFits, fit_all_sites, stack_fits
 from .spde import MeshOptions, build_mesh
 
 _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4}
+MAX_STEP_FILE = "max_step.csv"
 
 
 def _progress(msg: str) -> None:
@@ -137,6 +149,13 @@ def _load_inputs(cfg: RunConfig, args):
     return ds, transform
 
 
+def _max_step(cfg: RunConfig, ds: MaximaDataset) -> StackedFits:
+    t0 = cfg.get("t0")
+    return fit_all_sites(ds.records, trend=bool(cfg.get("trend", False)),
+                         station_ids=ds.station_ids,
+                         **({"t0": t0} if t0 is not None else {}))
+
+
 def _designs_from_config(cfg: RunConfig, ds: MaximaDataset) -> dict:
     designs = {}
     psi_names = cfg.get("covariates", [])
@@ -214,9 +233,7 @@ def cmd_fit_sites(args) -> int:
     cfg = _load_config(args)
     ds, _ = _load_inputs(cfg, args)
     trend = bool(cfg.get("trend", False))
-    t0 = cfg.get("t0")
-    stacked = fit_all_sites(ds.records, trend=trend,
-                            **({"t0": t0} if t0 is not None else {}))
+    stacked = _max_step(cfg, ds)
     params = list(PARAM_NAMES[: stacked.n_params])
     eta = stacked.eta_by_param  # (q, J)
 
@@ -246,11 +263,8 @@ def cmd_select(args) -> int:
     ds, _ = _load_inputs(cfg, args)
     if ds.covariates is None or not ds.covariate_names:
         raise ConfigError("selection needs a station table with covariates")
-    trend = bool(cfg.get("trend", False))
-    t0 = cfg.get("t0")
     _progress(f"fitting {ds.n_sites} sites")
-    stacked = fit_all_sites(ds.records, trend=trend,
-                            **({"t0": t0} if t0 is not None else {}))
+    stacked = _max_step(cfg, ds)
     mesh = _mesh_from_config(cfg, ds.sites)
     sel_section = dict(cfg.get("selection", {}))
     sel_section.setdefault("seed", cfg.seed)
@@ -282,11 +296,7 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _fit_pipeline(cfg: RunConfig, ds: MaximaDataset):
-    trend = bool(cfg.get("trend", False))
-    t0 = cfg.get("t0")
-    stacked = fit_all_sites(ds.records, trend=trend,
-                            **({"t0": t0} if t0 is not None else {}))
+def _structure_from(cfg: RunConfig, ds: MaximaDataset, stacked: StackedFits):
     spatial = {k: bool(v) for k, v in cfg.get("spatial", {}).items()}
     mesh = _mesh_from_config(cfg, ds.sites) if any(spatial.values()) else None
     structure = build_structure(
@@ -294,14 +304,63 @@ def _fit_pipeline(cfg: RunConfig, ds: MaximaDataset):
         mesh=mesh, covariate_names=_covariate_names_map(cfg),
         **cfg.get("priors", {}),
     )
-    return structure, stacked
+    return structure
+
+
+def _max_step_header(q: int) -> list:
+    params = PARAM_NAMES[:q]
+    return ["station", *params, *(f"prec_{a}_{b}" for a in params for b in params),
+            "loglik", "n_obs", "converged", "hessian_repaired", "n_restarts"]
+
+
+def _write_max_step(path: str, station_ids: list, stacked: StackedFits) -> None:
+    rows = [
+        [st, *(_fmt(v) for v in f.eta_hat), *(_fmt(v) for v in f.precision.ravel()),
+         _fmt(f.loglik), _fmt(f.n_obs), _fmt(int(f.converged)),
+         _fmt(int(f.hessian_repaired)), _fmt(f.n_restarts)]
+        for st, f in zip(station_ids, stacked.site_fits)
+    ]
+    write_csv_atomic(path, _max_step_header(stacked.n_params), rows)
+
+
+def _read_max_step(fit_dir: str, model: dict) -> StackedFits:
+    """Read max_step.csv back after checking it against model.json."""
+    path = os.path.join(fit_dir, MAX_STEP_FILE)
+    if not os.path.exists(path):
+        raise DataError(f"{path}: missing; refit to get a complete fit directory")
+    if _sha256(path) != model.get("max_step_sha256"):
+        raise DataError(f"{path}: sha256 does not match model.json")
+    q = 4 if model["trend"] else 3
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    if header != _max_step_header(q):
+        raise DataError(f"{path}: columns do not match a model with {q} link parameters")
+    if [row[0] for row in rows] != model["station_ids"]:
+        raise DataError(f"{path}: stations differ from model.json")
+    fits = []
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, expected {len(header)}")
+            vals = [float(c) for c in row[1:q + q * q + 2]]
+            n_obs, converged, repaired, n_restarts = (int(c) for c in row[q + q * q + 2:])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        fits.append(SiteFit(
+            eta_hat=np.array(vals[:q]),
+            precision=np.array(vals[q:q + q * q]).reshape(q, q),
+            loglik=vals[-1], n_obs=n_obs, converged=bool(converged),
+            hessian_repaired=bool(repaired), n_restarts=n_restarts,
+        ))
+    return stack_fits(fits)
 
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     ds, transform = _load_inputs(cfg, args)
     _progress(f"max step: fitting {ds.n_sites} sites")
-    structure, _ = _fit_pipeline(cfg, ds)
+    stacked = _max_step(cfg, ds)
+    structure = _structure_from(cfg, ds, stacked)
     mcmc = _mcmc_from_config(cfg)
     _progress(f"smooth step: {mcmc.n_chains} chains x {mcmc.n_iterations} iterations")
     result = smooth_step(structure, mcmc, latent_seed=mcmc.seed + 1)
@@ -311,6 +370,10 @@ def cmd_fit(args) -> int:
             _progress(f"warning: {w}")
 
     outputs = []
+
+    max_step_path = _out_path(args, MAX_STEP_FILE)
+    _write_max_step(max_step_path, ds.station_ids, stacked)
+    outputs.append((MAX_STEP_FILE, max_step_path))
 
     path = _out_path(args, "theta_draws.csv")
     write_csv_atomic(path, theta.names,
@@ -365,6 +428,7 @@ def cmd_fit(args) -> int:
         "accept_rate": [float(a) for a in theta.accept_rate],
         "transform": None if transform is None else transform.to_dict(),
         "transform_descriptors": bool(cfg.get("transform_descriptors", True)),
+        "max_step_sha256": _sha256(max_step_path),
     })
     outputs.append(("model.json", path))
 
@@ -380,7 +444,14 @@ def _read_draws_csv(path: str):
 
 
 def _load_fit(fit_dir: str, cfg: RunConfig, args):
-    """Reassemble a SmoothResult from a fit directory plus the input data."""
+    """Reassemble a SmoothResult from a fit directory plus the input data.
+
+    The fit directory holds model.json, max_step.csv, theta_draws.csv,
+    theta_summary.csv, eta_draws.csv and nu_draws.csv.  The latent structure
+    is rebuilt from max_step.csv, whose sha256, station order and parameter
+    count must match model.json; the max step is not rerun.  The input data
+    still supplies station coordinates, covariates and records.
+    """
     model_path = os.path.join(fit_dir, "model.json")
     if not os.path.exists(model_path):
         raise DataError(f"{fit_dir}: not a fit directory (no model.json)")
@@ -399,7 +470,7 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
                                        ("covariates", "tau_covariates", "spatial",
                                         "trend", "t0", "priors", "mesh")
                                        if model.get(k) is not None}})
-    structure, _ = _fit_pipeline(sub, ds)
+    structure = _structure_from(sub, ds, _read_max_step(fit_dir, model))
 
     names, theta_draws = _read_draws_csv(os.path.join(fit_dir, "theta_draws.csv"))
     if names != model["theta_names"]:

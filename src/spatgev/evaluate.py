@@ -32,7 +32,7 @@ from .gev import (
 )
 from .latent import McmcConfig, build_structure, smooth_step
 from .predict import UngaugedSite, posterior_predictive
-from .site_fit import fit_all_sites, fit_site
+from .site_fit import StackedFits, fit_all_sites, fit_site
 
 __all__ = [
     "LOG_SCORE_FLOOR",
@@ -134,15 +134,15 @@ def fit_const(records: list) -> GevParams:
     return link_inverse(lp)
 
 
+def _natural_params(stacked: StackedFits) -> list:
+    """Per-site GevParams of stationary stacked fits."""
+    return [link_inverse(LinkedParams(psi=f.eta_hat[0], tau=f.eta_hat[1], phi=f.eta_hat[2]))
+            for f in stacked.site_fits]
+
+
 def fit_mle(records: list) -> list:
     """Independent stationary generalized-ML fits, one per site."""
-    out = []
-    for years, y in records:
-        fit = fit_site(np.asarray(y, dtype=float), np.asarray(years, dtype=float),
-                       trend=False)
-        lp = LinkedParams(psi=fit.eta_hat[0], tau=fit.eta_hat[1], phi=fit.eta_hat[2])
-        out.append(link_inverse(lp))
-    return out
+    return _natural_params(fit_all_sites(records, trend=False))
 
 
 def _poly_columns(coords_std: np.ndarray, order: int) -> np.ndarray:
@@ -448,20 +448,18 @@ def _lgm_designs(dataset: MaximaDataset, spec: ModelSpec, sites: np.ndarray,
 
 
 def _fit_lgm(dataset: MaximaDataset, spec: ModelSpec, plan: CvPlan,
-             covariate_names: list, mcmc: McmcConfig, mesh, t0: float | None):
-    train = dataset.subset(plan.train_sites).filter_years(hi=plan.train_end_year)
-    stacked = fit_all_sites(train.records, trend=spec.trend, **(
-        {"t0": t0} if t0 is not None else {}))
+             covariate_names: list, mcmc: McmcConfig, mesh, stacked: StackedFits):
     designs = _lgm_designs(dataset, spec, plan.train_sites, covariate_names)
     spatial_flags = {"psi": spec.spatial, "tau": spec.spatial}
     names = {}
     if spec.covariates and covariate_names:
         names = {"psi": tuple(covariate_names), "tau": tuple(covariate_names)}
     structure = build_structure(
-        stacked, designs=designs, spatial=spatial_flags, sites=train.sites,
+        stacked, designs=designs, spatial=spatial_flags,
+        sites=dataset.sites[plan.train_sites],
         mesh=mesh if spec.spatial else None, covariate_names=names,
     )
-    return smooth_step(structure, mcmc), train
+    return smooth_step(structure, mcmc)
 
 
 def _ungauged_for(dataset: MaximaDataset, spec: ModelSpec, site: int,
@@ -488,7 +486,9 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
     Within-site cells are test-year observations at training stations;
     out-of-site cells are test-year observations at held-out stations (the
     per-site ML benchmark is not applicable there).  Densities below the
-    floor are excluded and tallied per model.
+    floor are excluded and tallied per model.  The training sites are fit
+    once per trend setting: MLE and the stationary LGM variants share one
+    stationary max step.
     """
     plan.validate()
     mcmc = mcmc or McmcConfig()
@@ -516,6 +516,15 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
     out_bits: dict = {}
     failures: dict = {}
     rng = np.random.default_rng(seed)
+    site_fits_by_trend: dict = {}
+
+    def site_fits(trend: bool) -> StackedFits:
+        if trend not in site_fits_by_trend:
+            site_fits_by_trend[trend] = fit_all_sites(
+                train_ds.records, trend=trend,
+                station_ids=train_ds.station_ids,
+                **({"t0": t0} if t0 is not None else {}))
+        return site_fits_by_trend[trend]
 
     for name in variants:
         try:
@@ -528,7 +537,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
                     _bits_from_density(math.exp(gev_log_pdf(v, p0)))
                     for _, _, v in out_cells])
             elif name == "MLE":
-                fits = fit_mle(train_ds.records)
+                fits = _natural_params(site_fits(False))
                 within_bits[name] = np.array([
                     _bits_from_density(math.exp(gev_log_pdf(v, fits[train_pos[s]])))
                     for s, _, v in within_cells])
@@ -558,8 +567,8 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
                 out_bits[name] = rsm_bits(out_cells)
             else:
                 spec = LGM_VARIANTS[name]
-                result, _ = _fit_lgm(dataset, spec, plan, covariate_names,
-                                     mcmc, mesh, t0)
+                result = _fit_lgm(dataset, spec, plan, covariate_names, mcmc,
+                                  mesh, site_fits(spec.trend))
                 total = n_samples_trend if spec.trend else n_samples
                 n_per = max(1, round(total / result.n_draws))
 

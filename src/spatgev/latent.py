@@ -515,7 +515,7 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
                 n_acc += 1
             if t < n_burn:
                 # Robbins-Monro scale plus running covariance (Haario)
-                alpha = min(1.0, math.exp(log_alpha)) if np.isfinite(log_alpha) else 0.0
+                alpha = math.exp(min(0.0, log_alpha)) if np.isfinite(log_alpha) else 0.0
                 gamma = (t + 1) ** -0.6
                 log_scale += gamma * (alpha - config.target_accept)
                 dx = x - mean

@@ -35,6 +35,7 @@ __all__ = [
     "site_loglik",
     "fit_site",
     "fit_all_sites",
+    "stack_fits",
     "MIN_OBS_TREND",
     "MIN_OBS_STATIONARY",
 ]
@@ -276,18 +277,10 @@ class StackedFits:
         return self.Q_eta[np.ix_(idx, idx)].toarray()
 
 
-def fit_all_sites(records: list[tuple[np.ndarray, np.ndarray]], trend: bool = True,
-                  t0: float = LINK.t0, include_priors: bool = True) -> StackedFits:
-    """Fit every site and assemble the stacked pseudo-observation.
-
-    records is a list of (years, y) pairs, one per site, already aligned.
-    """
-    if not records:
-        raise DataError("no site records given")
-    fits = [fit_site(y, yr, trend=trend, t0=t0, include_priors=include_priors)
-            for yr, y in records]
+def stack_fits(fits: list[SiteFit]) -> StackedFits:
+    """Stack per-site fits (all with the same number of parameters)."""
     J = len(fits)
-    p = 4 if trend else 3
+    p = fits[0].eta_hat.shape[0]
     eta = np.empty(p * J)
     rows, cols, vals = [], [], []
     for i, f in enumerate(fits):
@@ -299,3 +292,25 @@ def fit_all_sites(records: list[tuple[np.ndarray, np.ndarray]], trend: bool = Tr
                 vals.append(f.precision[a, b])
     Q = sparse.coo_matrix((vals, (rows, cols)), shape=(p * J, p * J)).tocsc()
     return StackedFits(eta=eta, Q_eta=Q, site_fits=fits, n_sites=J, n_params=p)
+
+
+def fit_all_sites(records: list[tuple[np.ndarray, np.ndarray]], trend: bool = True,
+                  t0: float = LINK.t0, include_priors: bool = True,
+                  station_ids: list | None = None) -> StackedFits:
+    """Fit every site and assemble the stacked pseudo-observation.
+
+    records is a list of (years, y) pairs, one per site, already aligned.
+    A site's DataError is raised again prefixed with its station id
+    (station_ids[i], or the record position when no ids are given).
+    """
+    if not records:
+        raise DataError("no site records given")
+    fits = []
+    for i, (yr, y) in enumerate(records):
+        try:
+            fits.append(fit_site(y, yr, trend=trend, t0=t0,
+                                 include_priors=include_priors))
+        except DataError as exc:
+            sid = station_ids[i] if station_ids is not None else i
+            raise DataError(f"station {sid}: {exc}") from exc
+    return stack_fits(fits)

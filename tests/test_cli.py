@@ -6,13 +6,17 @@ asserted directly.  A shared pipeline fixture keeps the expensive steps
 """
 
 import dataclasses
+import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+import spatgev.cli
 from spatgev.cli import main
+from spatgev.dataio import RunConfig
 from spatgev.dataio import _SCENARIO_KEYS
 from spatgev.simulate import Scenario
 
@@ -58,8 +62,18 @@ def pipeline(tmp_path_factory):
     assert main(["simulate", "--config", str(cfg), "--out", sim]) == 0
     data = ["--maxima", os.path.join(sim, "maxima.csv"),
             "--sites", os.path.join(sim, "sites.csv")]
-    assert main(["fit", "--config", str(cfg), *data, "--out", fit]) == 0
-    return {"root": root, "cfg": str(cfg), "sim": sim, "fit": fit, "data": data}
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        build = spatgev.cli.build_structure
+
+        def keep_structure(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        mp.setattr(spatgev.cli, "build_structure", keep_structure)
+        assert main(["fit", "--config", str(cfg), *data, "--out", fit]) == 0
+    return {"root": root, "cfg": str(cfg), "sim": sim, "fit": fit, "data": data,
+            "structure": built[-1]}
 
 
 class TestSimulate:
@@ -103,12 +117,24 @@ class TestFitSites:
 class TestFit:
     def test_artifacts(self, pipeline):
         fit = pipeline["fit"]
-        for name in ("theta_draws.csv", "theta_summary.csv", "eta_draws.csv",
-                     "nu_draws.csv", "latent_summary.csv", "model.json",
-                     "manifest.json"):
+        for name in ("max_step.csv", "theta_draws.csv", "theta_summary.csv",
+                     "eta_draws.csv", "nu_draws.csv", "latent_summary.csv",
+                     "model.json", "manifest.json"):
             assert os.path.exists(os.path.join(fit, name))
         with open(os.path.join(fit, "model.json")) as fh:
             model = json.load(fh)
+        max_step_hash = hashlib.sha256(_read(os.path.join(fit, "max_step.csv"))).hexdigest()
+        assert model["max_step_sha256"] == max_step_hash
+        manifest = _manifest_without_timestamp(os.path.join(fit, "manifest.json"))
+        assert manifest["outputs"]["max_step.csv"] == max_step_hash
+        with open(os.path.join(fit, "max_step.csv")) as fh:
+            header = fh.readline().rstrip().split(",")
+            n_rows = sum(1 for _ in fh)
+        assert header[:4] == ["station", "psi", "tau", "phi"]
+        assert header[-5:] == ["loglik", "n_obs", "converged", "hessian_repaired",
+                               "n_restarts"]
+        assert len(header) == 1 + 3 + 9 + 5
+        assert n_rows == 14
         assert model["covariates"] == ["c1"]
         assert model["theta_names"] == ["eps_psi", "eps_tau", "eps_phi"]
         draws = np.loadtxt(os.path.join(fit, "theta_draws.csv"),
@@ -120,10 +146,68 @@ class TestFit:
         out2 = str(pipeline["root"] / "fit2")
         assert main(["fit", "--config", pipeline["cfg"], *pipeline["data"],
                      "--out", out2]) == 0
-        for name in ("theta_draws.csv", "eta_draws.csv", "nu_draws.csv",
-                     "model.json"):
+        for name in ("max_step.csv", "theta_draws.csv", "eta_draws.csv",
+                     "nu_draws.csv", "model.json"):
             assert _read(os.path.join(pipeline["fit"], name)) == \
                 _read(os.path.join(out2, name))
+
+
+class TestFitDirectory:
+    """Queries read the max step from the fit directory and never rerun it."""
+
+    def _copy_fit(self, pipeline, tmp_path):
+        fit = str(tmp_path / "fit_copy")
+        shutil.copytree(pipeline["fit"], fit)
+        return fit
+
+    def test_queries_do_not_rerun_max_step(self, pipeline, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the max step ran again")
+
+        monkeypatch.setattr(spatgev.cli, "fit_all_sites", refuse)
+        targets = tmp_path / "targets.csv"
+        targets.write_text("station,x,y,c1,c2\nt001,50.0,50.0,0.5,-0.2\n")
+        common = ["--config", pipeline["cfg"], *pipeline["data"], "--fit", pipeline["fit"]]
+        assert main(["predict", *common, "--out", str(tmp_path / "p")]) == 0
+        assert main(["return-levels", *common, "--targets", str(targets),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert main(["aggregate", *common, "--out", str(tmp_path / "a")]) == 0
+
+    def test_structure_rebuilt_bit_for_bit(self, pipeline):
+        cfg = RunConfig.from_json(pipeline["cfg"])
+        args = spatgev.cli._build_parser().parse_args(
+            ["predict", "--config", pipeline["cfg"], *pipeline["data"],
+             "--fit", pipeline["fit"], "--out", "unused"])
+        result, _, _ = spatgev.cli._load_fit(pipeline["fit"], cfg, args)
+        built = pipeline["structure"]
+        assert np.array_equal(result.structure.eta_hat, built.eta_hat)
+        assert np.array_equal(result.structure.prec_blocks, built.prec_blocks)
+
+    def test_tampered_value_refused(self, pipeline, tmp_path, capsys):
+        fit = self._copy_fit(pipeline, tmp_path)
+        path = os.path.join(fit, "max_step.csv")
+        with open(path) as fh:
+            lines = fh.read().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[1] = repr(float(cells[1]) + 1e-9)
+        lines[1] = ",".join(cells)
+        with open(path, "w") as fh:
+            fh.write("".join(lines))
+        code = main(["predict", "--config", pipeline["cfg"], *pipeline["data"],
+                     "--fit", fit, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DataError"
+        assert "max_step.csv" in err["message"]
+
+    def test_missing_file_refused(self, pipeline, tmp_path, capsys):
+        fit = self._copy_fit(pipeline, tmp_path)
+        os.remove(os.path.join(fit, "max_step.csv"))
+        code = main(["predict", "--config", pipeline["cfg"], *pipeline["data"],
+                     "--fit", fit, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "max_step.csv" in err["message"]
 
 
 class TestPredict:
@@ -268,6 +352,20 @@ class TestErrorSurface:
         code = main(["fit-sites", "--maxima", str(p),
                      "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_short_record_names_station(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        lines = ["station,year,amax"]
+        lines += [f"A001,{1980 + k},{float(v)!r}" for k, v in
+                  enumerate(30.0 + 8.0 * rng.gumbel(size=20))]
+        lines += [f"Z999,{2000 + k},{30.0 + k}" for k in range(3)]
+        p = tmp_path / "m.csv"
+        p.write_text("\n".join(lines) + "\n")
+        code = main(["fit-sites", "--maxima", str(p), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert "Z999" in err["message"]
 
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as exc:

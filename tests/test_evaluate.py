@@ -246,6 +246,54 @@ def cv_result():
     return res, plan
 
 
+@pytest.fixture(scope="module")
+def cv_max_steps():
+    """One run_cv with the default variants, recording every max step it runs."""
+    import spatgev.evaluate as evaluate
+
+    scn = Scenario(n_sites=12, n_covariates=1, beta_psi=(3.4, 0.5),
+                   beta_tau=(-1.0, 0.1), record_length=50)
+    ds = simulate_dataset(scn, seed=21).dataset
+    plan = make_cv_plan(ds, n_heldout=3, seed=3)
+    stacked_calls, mle_params = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        fit_all = evaluate.fit_all_sites
+        natural = evaluate._natural_params
+
+        def counted(*args, **kwargs):
+            stacked_calls.append(fit_all(*args, **kwargs))
+            return stacked_calls[-1]
+
+        def recorded(stacked):
+            mle_params.append(natural(stacked))
+            return mle_params[-1]
+
+        mp.setattr(evaluate, "fit_all_sites", counted)
+        mp.setattr(evaluate, "_natural_params", recorded)
+        res = run_cv(ds, plan, mcmc=McmcConfig(n_chains=1, n_iterations=60,
+                                               n_kept=10, seed=2),
+                     n_samples=500, seed=1)
+    train_ds = ds.subset(plan.train_sites).filter_years(hi=plan.train_end_year)
+    return res, stacked_calls, mle_params, train_ds
+
+
+class TestCvMaxStepCache:
+    def test_one_max_step_for_default_variants(self, cv_max_steps):
+        res, stacked_calls, _, _ = cv_max_steps
+        assert res.failures == {}
+        assert set(res.within.models) == {"CONST", "MLE", "RSM", "LGM-IID",
+                                          "LGM-COV", "LGM-FULL"}
+        assert len(stacked_calls) == 1
+
+    def test_mle_params_equal_standalone_fit(self, cv_max_steps):
+        _, _, mle_params, train_ds = cv_max_steps
+        assert len(mle_params) == 1
+        ref = fit_mle(train_ds.records)
+        assert len(ref) == len(mle_params[0])
+        for got, want in zip(mle_params[0], ref):
+            assert got == want
+
+
 class TestRunCv:
     def test_tables_complete(self, cv_result):
         res, plan = cv_result

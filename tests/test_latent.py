@@ -237,6 +237,26 @@ class TestMcmc:
         assert out.status in ("ok", "warn")
         assert np.all(out.accept_rate > 0.05) and np.all(out.accept_rate < 0.6)
 
+    def test_burn_in_survives_huge_acceptance_ratio(self, monkeypatch):
+        # the start point scores about -1e4 and every proposal 0, so the
+        # first log acceptance ratio is about 1e4, far past exp's range
+        import spatgev.latent as latent
+
+        stacked, sites, rng = _stacked(8, 65)
+        st = build_structure(stacked, designs={}, spatial={})
+        calls = {"n": 0}
+
+        def fake_loglik(structure, theta):
+            calls["n"] += 1
+            return -1e4 if calls["n"] == 1 else 0.0
+
+        monkeypatch.setattr(latent, "marginal_loglik", fake_loglik)
+        cfg = McmcConfig(n_chains=1, n_iterations=40, n_kept=10, seed=7)
+        out = run_mcmc(st, cfg)
+        assert out.draws.shape == (10, 3)
+        assert np.all(np.isfinite(out.draws))
+        assert out.accept_rate[0] > 0.0
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             McmcConfig(n_chains=0).validate()

@@ -190,6 +190,14 @@ class TestStackedFits:
         with pytest.raises(DataError):
             fit_all_sites([])
 
+    def test_site_error_names_station(self):
+        p = GevParams(mu=30.0, sigma=8.0, xi=0.1)
+        records = [_record(p, 30, 50), _record(p, 3, 51)]
+        with pytest.raises(DataError, match=r"^station 1: need at least 5"):
+            fit_all_sites(records, trend=False)
+        with pytest.raises(DataError, match=r"^station B02: need at least 5"):
+            fit_all_sites(records, trend=False, station_ids=["A01", "B02"])
+
 
 def _xi(fit):
     from spatgev.gev import shape_inverse
