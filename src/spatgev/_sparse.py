@@ -54,10 +54,19 @@ class SymmetricFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve Q x = b (b may be a matrix of stacked right-hand sides)."""
-        b = np.asarray(b, dtype=float)
-        if b.ndim == 1:
-            return self._lu.solve(b)
-        return np.column_stack([self._lu.solve(b[:, j]) for j in range(b.shape[1])])
+        return self._lu.solve(np.asarray(b, dtype=float))
+
+    def transform(self, z: np.ndarray) -> np.ndarray:
+        """Map standard normals z, shape (m, n), to m draws from N(0, Q^-1).
+
+        Row k of the output uses row k of z only.
+        """
+        if self._m_t is None:
+            # solving M^T y = z with M = L sqrt(D) draws y ~ N(0, Q_perm^-1)
+            self._m_t = (self._lu.L @ sparse.diags(np.sqrt(self._diag_u))).T.tocsr()
+        y = spsolve_triangular(self._m_t, z.T, lower=False)
+        # permuted row i is original row inv_perm[i], so gather at perm
+        return y[self._perm].T
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw from N(0, Q^-1); returns shape (n,) or (size, n).
@@ -65,12 +74,5 @@ class SymmetricFactor:
         Row k of a size=m call uses the same n normals, in the same order,
         as the k-th of m size=None calls on the same generator.
         """
-        if self._m_t is None:
-            # solving M^T y = z with M = L sqrt(D) draws y ~ N(0, Q_perm^-1)
-            self._m_t = (self._lu.L @ sparse.diags(np.sqrt(self._diag_u))).T.tocsr()
-        m = 1 if size is None else size
-        z = rng.standard_normal((m, self.n))
-        y = spsolve_triangular(self._m_t, z.T, lower=False)
-        # permuted row i is original row inv_perm[i], so gather at perm
-        out = y[self._perm].T
+        out = self.transform(rng.standard_normal((1 if size is None else size, self.n)))
         return out[0] if size is None else out

@@ -13,10 +13,10 @@ eta_draws.csv, nu_draws.csv), their summaries (theta_summary.csv,
 latent_summary.csv) and model.json, fit writes max_step.csv: per station the
 link-space mode, the full q x q precision block (repr floats, so they read
 back bit for bit) and the fit's loglik, n_obs, converged, hessian_repaired
-and n_restarts.  model.json records the sha256 of max_step.csv.  predict,
-return-levels and aggregate rebuild the latent structure from that file and
-never rerun the max step; a fit directory whose max_step.csv is missing or
-does not match the recorded hash is refused with a data error.
+and n_restarts.  predict, return-levels and aggregate rebuild the latent
+structure from that file and never rerun the max step.  Every file they read
+from the fit directory must match its sha256 in manifest.json; a missing
+manifest, file or entry, or a mismatch, is refused with a data error.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ from .spde import MeshOptions, build_mesh
 
 _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4}
 MAX_STEP_FILE = "max_step.csv"
+# files of a fit directory that queries read, each checked against manifest.json
+FIT_FILES = ("model.json", MAX_STEP_FILE, "theta_draws.csv", "theta_summary.csv",
+             "eta_draws.csv", "nu_draws.csv")
 
 
 def _progress(msg: str) -> None:
@@ -324,12 +327,8 @@ def _write_max_step(path: str, station_ids: list, stacked: StackedFits) -> None:
 
 
 def _read_max_step(fit_dir: str, model: dict) -> StackedFits:
-    """Read max_step.csv back after checking it against model.json."""
+    """Read max_step.csv back and check it against model.json."""
     path = os.path.join(fit_dir, MAX_STEP_FILE)
-    if not os.path.exists(path):
-        raise DataError(f"{path}: missing; refit to get a complete fit directory")
-    if _sha256(path) != model.get("max_step_sha256"):
-        raise DataError(f"{path}: sha256 does not match model.json")
     q = 4 if model["trend"] else 3
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh))
@@ -428,7 +427,6 @@ def cmd_fit(args) -> int:
         "accept_rate": [float(a) for a in theta.accept_rate],
         "transform": None if transform is None else transform.to_dict(),
         "transform_descriptors": bool(cfg.get("transform_descriptors", True)),
-        "max_step_sha256": _sha256(max_step_path),
     })
     outputs.append(("model.json", path))
 
@@ -443,19 +441,35 @@ def _read_draws_csv(path: str):
     return header, data
 
 
+def _check_fit_files(fit_dir: str) -> None:
+    """Every file in FIT_FILES must exist and match its sha256 in manifest.json."""
+    manifest_path = os.path.join(fit_dir, "manifest.json")
+    if not os.path.exists(manifest_path):
+        raise DataError(f"{fit_dir}: not a fit directory (no manifest.json)")
+    with open(manifest_path) as fh:
+        recorded = json.load(fh).get("outputs", {})
+    for name in FIT_FILES:
+        path = os.path.join(fit_dir, name)
+        if not os.path.exists(path):
+            raise DataError(f"{path}: missing; refit to get a complete fit directory")
+        if name not in recorded:
+            raise DataError(f"{path}: not listed in manifest.json")
+        if _sha256(path) != recorded[name]:
+            raise DataError(f"{path}: sha256 does not match manifest.json")
+
+
 def _load_fit(fit_dir: str, cfg: RunConfig, args):
     """Reassemble a SmoothResult from a fit directory plus the input data.
 
     The fit directory holds model.json, max_step.csv, theta_draws.csv,
-    theta_summary.csv, eta_draws.csv and nu_draws.csv.  The latent structure
-    is rebuilt from max_step.csv, whose sha256, station order and parameter
-    count must match model.json; the max step is not rerun.  The input data
-    still supplies station coordinates, covariates and records.
+    theta_summary.csv, eta_draws.csv and nu_draws.csv, each checked against
+    its sha256 in manifest.json first.  The latent structure is rebuilt from
+    max_step.csv, whose station order and parameter count must match
+    model.json; the max step is not rerun.  The input data still supplies
+    station coordinates, covariates and records.
     """
-    model_path = os.path.join(fit_dir, "model.json")
-    if not os.path.exists(model_path):
-        raise DataError(f"{fit_dir}: not a fit directory (no model.json)")
-    with open(model_path) as fh:
+    _check_fit_files(fit_dir)
+    with open(os.path.join(fit_dir, "model.json")) as fh:
         model = json.load(fh)
 
     ds, _ = _load_inputs(cfg, args)

@@ -1,7 +1,7 @@
 """Latent Gaussian model over the link-space GEV parameters.
 
 The per-site fits supply a Gaussian pseudo-observation eta_hat with known
-block precision Q_eta.  The latent level puts, for each link parameter,
+block precision Q_i per site.  The latent level puts, for each link parameter,
 a linear predictor with optional spatial field and an iid nugget:
 
     eta_l = X_l beta_l + A u_l + eps_l,     eps_l ~ N(0, sigma_eps_l^2 I),
@@ -13,16 +13,19 @@ adaptive random-walk Metropolis on log theta.  Conditional on theta the model
 is conjugate: the marginal likelihood of eta_hat is available in closed form,
 and (eta, nu) can be drawn exactly from the joint Gaussian conditional.
 
-Two routes to the marginal likelihood exist: a collapsed one that exploits
-the per-site block structure (used in the MCMC loop) and a joint-precision
-one (used for conditional sampling); they agree to float precision and both
-stay in the code deliberately as a cross-check.
+One Gaussian system per theta serves both.  With the nugget marginalized
+into the pseudo-observation noise, W_i = (Q_i^-1 + diag(sigma_eps^2))^-1,
+nu has the collapsed posterior precision P = Q_nu + Z' W Z.  Its factor gives
+the marginal likelihood and the draw nu ~ N(P^-1 Z' W eta_hat, P^-1); each
+site's eta_i | nu is then a q x q Gaussian with precision
+Q_i + diag(sigma_eps^-2), drawn for all sites at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -46,7 +49,6 @@ __all__ = [
     "LatentStructure",
     "build_structure",
     "marginal_loglik",
-    "marginal_loglik_joint",
     "log_prior_theta",
     "McmcConfig",
     "ThetaSamples",
@@ -88,9 +90,6 @@ class LatentStructure:
     nu_slices: dict = field(init=False, repr=False)
     theta_names: list = field(init=False)
     _cov_blocks: np.ndarray = field(init=False, repr=False)
-    _logdet_q_eta: float = field(init=False, repr=False)
-    _lam: np.ndarray | None = field(init=False, repr=False)
-    _logdet_c: float = field(init=False, repr=False)
     _C: sparse.spmatrix | None = field(init=False, repr=False)
     _G: sparse.spmatrix | None = field(init=False, repr=False)
 
@@ -125,19 +124,22 @@ class LatentStructure:
                 self.theta_names.append(f"s_{pm.name}")
                 self.theta_names.append(f"rho_{pm.name}")
         self._cov_blocks = np.linalg.inv(self.prec_blocks)
-        sign, logdets = np.linalg.slogdet(self.prec_blocks)
+        sign, _ = np.linalg.slogdet(self.prec_blocks)
         if np.any(sign <= 0):
             raise NumericalError("a site precision block is not positive definite")
-        self._logdet_q_eta = float(logdets.sum())
         if any(pm.spatial for pm in self.params):
-            C, G = fem_matrices(self.mesh)
-            self._C, self._G = C, G
-            self._lam = field_eigenvalues(C, G)
-            self._logdet_c = float(np.sum(np.log(C.diagonal())))
+            self._C, self._G = fem_matrices(self.mesh)
         else:
             self._C = self._G = None
-            self._lam = None
-            self._logdet_c = 0.0
+
+    @cached_property
+    def _field_spectrum(self) -> tuple:
+        """Generalized eigenvalues of (G, C) and log det C, for logdet_q_nu.
+
+        A dense eigenproblem, O(n^3) in mesh nodes, so it is solved on the
+        first likelihood evaluation only; queries on a fit never need it.
+        """
+        return field_eigenvalues(self._C, self._G), float(np.sum(np.log(self._C.diagonal())))
 
     @property
     def n_sites(self) -> int:
@@ -188,7 +190,8 @@ class LatentStructure:
             out += -2.0 * pm.design.shape[1] * math.log(self.sigma_beta)
             if pm.spatial:
                 h = by_param[pm.name]
-                out += precision_logdet_fast(self._lam, self._logdet_c, h["rho"], h["s"])
+                lam, logdet_c = self._field_spectrum
+                out += precision_logdet_fast(lam, logdet_c, h["rho"], h["s"])
         return out
 
     def sigma_eps2_by_param(self, theta: np.ndarray) -> np.ndarray:
@@ -236,10 +239,9 @@ def build_structure(stacked: StackedFits, designs: dict[str, np.ndarray],
                                  covariate_names=names_l))
     if rho0 is None:
         rho0 = 0.1 * mesh.diameter if mesh is not None else 1.0
-    prec = np.stack([f.precision for f in stacked.site_fits])
     return LatentStructure(
-        eta_hat=stacked.eta.copy(), prec_blocks=prec, params=params, mesh=mesh, A=A,
-        s0=s0, rho0=rho0, eps0=eps0, sigma_beta=sigma_beta,
+        eta_hat=stacked.eta.copy(), prec_blocks=stacked.prec_blocks, params=params,
+        mesh=mesh, A=A, s0=s0, rho0=rho0, eps0=eps0, sigma_beta=sigma_beta,
     )
 
 
@@ -250,7 +252,7 @@ def build_structure(stacked: StackedFits, designs: dict[str, np.ndarray],
 def _w_sparse(structure: LatentStructure, theta: np.ndarray):
     """Per-site W blocks and their parameter-major sparse scatter.
 
-    W_i = (Q_eta_i^-1 + diag(sigma_eps^2))^-1 marginalizes the nugget into
+    W_i = (Q_i^-1 + diag(sigma_eps^2))^-1 marginalizes the nugget into
     the pseudo-observation noise.
     """
     J = structure.n_sites
@@ -269,86 +271,35 @@ def _w_sparse(structure: LatentStructure, theta: np.ndarray):
     return W_sp, -float(logdet_d.sum())
 
 
-def marginal_loglik(structure: LatentStructure, theta: np.ndarray) -> float:
-    """Collapsed route: nu integrated out analytically, block algebra per site."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0) or not np.all(np.isfinite(theta)):
-        return -np.inf
-    n_obs = structure.eta_hat.shape[0]
+def _collapsed_system(structure: LatentStructure, theta: np.ndarray):
+    """Factor of P = Q_nu + Z' W Z and the shift Z' W eta_hat at theta.
+
+    Also returns W (sparse) and log det W.  Raises NumericalError when P is
+    not positive definite.
+    """
     W_sp, logdet_w = _w_sparse(structure, theta)
     Q_nu = structure.q_nu(theta)
     ZtW = (structure.Z.T @ W_sp).tocsc()
     P = (Q_nu + ZtW @ structure.Z).tocsc()
+    return SymmetricFactor(P), ZtW @ structure.eta_hat, W_sp, logdet_w
+
+
+def marginal_loglik(structure: LatentStructure, theta: np.ndarray) -> float:
+    """Log density of eta_hat at theta, nu integrated out analytically."""
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta <= 0.0) or not np.all(np.isfinite(theta)):
+        return -np.inf
+    n_obs = structure.eta_hat.shape[0]
     try:
-        fac = SymmetricFactor(P)
+        fac, rhs, W_sp, logdet_w = _collapsed_system(structure, theta)
     except NumericalError:
         return -np.inf
-    rhs = ZtW @ structure.eta_hat
     m = fac.solve(rhs)
     quad = float(structure.eta_hat @ (W_sp @ structure.eta_hat)) - float(rhs @ m)
     logdet_q_nu = structure.logdet_q_nu(theta)
     return float(
         -0.5 * n_obs * math.log(2.0 * math.pi)
         + 0.5 * (logdet_w + logdet_q_nu - fac.logdet)
-        - 0.5 * quad
-    )
-
-
-def _q_eta_sparse(structure: LatentStructure) -> sparse.csc_matrix:
-    J = structure.n_sites
-    q = structure.n_params
-    a_idx, b_idx = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    i_idx = np.arange(J)
-    rows = (a_idx[None, :, :] * J + i_idx[:, None, None]).ravel()
-    cols = (b_idx[None, :, :] * J + i_idx[:, None, None]).ravel()
-    return sparse.coo_matrix(
-        (structure.prec_blocks.ravel(), (rows, cols)), shape=(q * J, q * J)
-    ).tocsc()
-
-
-def _joint_system(structure: LatentStructure, theta: np.ndarray):
-    """Posterior precision and shift for x = (eta, nu) given theta."""
-    J, q = structure.n_sites, structure.n_params
-    sig2 = structure.sigma_eps2_by_param(theta)
-    sig_inv = sparse.diags(np.repeat(1.0 / sig2, J), format="csc")
-    Q_eta = _q_eta_sparse(structure)
-    Q_nu = structure.q_nu(theta)
-    Z = structure.Z
-    Q_post = sparse.bmat(
-        [[Q_eta + sig_inv, -sig_inv @ Z], [-(Z.T) @ sig_inv, Q_nu + Z.T @ sig_inv @ Z]],
-        format="csc",
-    )
-    b = np.concatenate([Q_eta @ structure.eta_hat, np.zeros(structure.n_nu)])
-    return Q_post, b, Q_eta, Q_nu, sig_inv
-
-
-def marginal_loglik_joint(structure: LatentStructure, theta: np.ndarray) -> float:
-    """Joint route: same marginal likelihood via the full (eta, nu) precision."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0) or not np.all(np.isfinite(theta)):
-        return -np.inf
-    J, q = structure.n_sites, structure.n_params
-    n_obs = q * J
-    Q_post, b, Q_eta, Q_nu, sig_inv = _joint_system(structure, theta)
-    try:
-        fac = SymmetricFactor(Q_post)
-    except NumericalError:
-        return -np.inf
-    mode = fac.solve(b)
-    eta_star, nu_star = mode[:n_obs], mode[n_obs:]
-    resid_obs = structure.eta_hat - eta_star
-    resid_lat = eta_star - structure.Z @ nu_star
-    quad = (
-        float(resid_obs @ (Q_eta @ resid_obs))
-        + float(resid_lat @ (sig_inv @ resid_lat))
-        + float(nu_star @ (Q_nu @ nu_star))
-    )
-    sig2 = structure.sigma_eps2_by_param(theta)
-    logdet_sig_inv = -float(J * np.sum(np.log(sig2)))
-    return float(
-        -0.5 * n_obs * math.log(2.0 * math.pi)
-        + 0.5 * (structure._logdet_q_eta + logdet_sig_inv
-                 + structure.logdet_q_nu(theta) - fac.logdet)
         - 0.5 * quad
     )
 
@@ -565,28 +516,46 @@ def sample_latent(structure: LatentStructure, theta_draws: np.ndarray,
                   rng: np.random.Generator, max_draws: int | None = None):
     """One exact joint draw of (eta, nu) per theta draw.
 
+    nu comes from the collapsed factor, nu ~ N(P^-1 Z' W eta_hat, P^-1); then
+    eta_i | nu ~ N(B_i^-1 (Q_i eta_hat_i + S^-1 (Z nu)_i), B_i^-1) for every
+    site at once, with Q_i = prec_blocks[i], S = diag(sigma_eps^2) and
+    B_i = Q_i + S^-1.
+    Each row takes its own n_nu + q*J normals in row order (nu's first).
     Consecutive equal theta rows (an MCMC chain that rejected every proposal
-    between two kept draws) share one assembly, factorization and mode; each
-    draw still takes its own normals in row order, so the output equals a
-    one-factorization-per-row loop bit for bit.
+    between two kept draws) share one assembly, factorization and mean, so
+    the output equals a one-factorization-per-row loop bit for bit.
 
     Returns (eta_draws, nu_draws) with shapes (n, q*J) and (n, n_nu).
     """
     theta_draws = np.atleast_2d(np.asarray(theta_draws, dtype=float))
     n = theta_draws.shape[0] if max_draws is None else min(max_draws, theta_draws.shape[0])
     theta_draws = theta_draws[:n]
-    n_obs = structure.eta_hat.shape[0]
-    eta_out = np.empty((n, n_obs))
-    nu_out = np.empty((n, structure.n_nu))
+    J, q, n_nu = structure.n_sites, structure.n_params, structure.n_nu
+    prec = structure.prec_blocks
+    prec_eta_hat = np.einsum("jab,bj->ja", prec, structure.eta_hat.reshape(q, J))
+    eta_out = np.empty((n, q * J))
+    nu_out = np.empty((n, n_nu))
     new_run = np.ones(n, dtype=bool)
     new_run[1:] = np.any(theta_draws[1:] != theta_draws[:-1], axis=1)
     starts = np.flatnonzero(new_run)
     for start, stop in zip(starts, np.append(starts[1:], n)):
-        Q_post, b, *_ = _joint_system(structure, theta_draws[start])
-        fac = SymmetricFactor(Q_post)
-        draws = fac.solve(b) + fac.sample(rng, size=stop - start)
-        eta_out[start:stop] = draws[:, :n_obs]
-        nu_out[start:stop] = draws[:, n_obs:]
+        theta = theta_draws[start]
+        fac, rhs, _, _ = _collapsed_system(structure, theta)
+        z = rng.standard_normal((stop - start, n_nu + q * J))
+        nu = fac.solve(rhs) + fac.transform(z[:, :n_nu])
+        # eta_i | nu = R_i' (R_i shift_i + z_i) with R_i = chol(B_i)^-1, so its
+        # mean is B_i^-1 shift_i and its covariance R_i' R_i = B_i^-1; sites
+        # on axis 1, parameters on axis 2, and explicit sums over the
+        # parameter index keep each row's bits independent of the run length
+        sig_inv = 1.0 / structure.sigma_eps2_by_param(theta)
+        R = np.linalg.inv(np.linalg.cholesky(prec + np.diag(sig_inv)))
+        lin_pred = (structure.Z @ nu.T).T.reshape(-1, q, J).transpose(0, 2, 1)
+        shift = prec_eta_hat + sig_inv * lin_pred
+        w = z[:, n_nu:].reshape(-1, J, q) + sum(R[:, :, b] * shift[:, :, b, None]
+                                                for b in range(q))
+        eta = sum(R[:, b, :] * w[:, :, b, None] for b in range(q))
+        eta_out[start:stop] = eta.transpose(0, 2, 1).reshape(-1, q * J)
+        nu_out[start:stop] = nu
     return eta_out, nu_out
 
 

@@ -74,8 +74,7 @@ class UnivariateObs:
 
 def diagonalize(stacked: StackedFits) -> dict:
     """Reduce stacked site fits to per-parameter univariate observations."""
-    blocks = np.stack([stacked.site_block(i) for i in range(stacked.n_sites)])
-    cov = np.linalg.inv(blocks)
+    cov = np.linalg.inv(stacked.prec_blocks)
     eta = stacked.eta_by_param
     out = {}
     for a in range(stacked.n_params):

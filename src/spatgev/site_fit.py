@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import minimize
 
 from .errors import DataError
@@ -255,43 +254,32 @@ class StackedFits:
     """All per-site pseudo-observations in parameter-major stacking.
 
     eta is the concatenation (psi_1..psi_J, tau_1..tau_J, phi_1..phi_J
-    [, gamma_1..gamma_J]) and Q_eta is the block-diagonal-per-site precision
-    scattered into that ordering: entry (a J + i, b J + i) holds element
-    (a, b) of site i's precision block.
+    [, gamma_1..gamma_J]); prec_blocks[i] is site i's p x p precision block.
     """
 
     eta: np.ndarray  # (p*J,)
-    Q_eta: sparse.csc_matrix  # (p*J, p*J)
+    prec_blocks: np.ndarray  # (J, p, p)
     site_fits: list[SiteFit] = field(repr=False)
-    n_sites: int = 0
-    n_params: int = 0
+
+    @property
+    def n_sites(self) -> int:
+        return self.prec_blocks.shape[0]
+
+    @property
+    def n_params(self) -> int:
+        return self.prec_blocks.shape[1]
 
     @property
     def eta_by_param(self) -> np.ndarray:
         """View as (p, J): row a holds parameter a across sites."""
         return self.eta.reshape(self.n_params, self.n_sites)
 
-    def site_block(self, i: int) -> np.ndarray:
-        """Dense p x p precision block of site i."""
-        idx = np.arange(self.n_params) * self.n_sites + i
-        return self.Q_eta[np.ix_(idx, idx)].toarray()
-
 
 def stack_fits(fits: list[SiteFit]) -> StackedFits:
     """Stack per-site fits (all with the same number of parameters)."""
-    J = len(fits)
-    p = fits[0].eta_hat.shape[0]
-    eta = np.empty(p * J)
-    rows, cols, vals = [], [], []
-    for i, f in enumerate(fits):
-        eta[np.arange(p) * J + i] = f.eta_hat
-        for a in range(p):
-            for b in range(p):
-                rows.append(a * J + i)
-                cols.append(b * J + i)
-                vals.append(f.precision[a, b])
-    Q = sparse.coo_matrix((vals, (rows, cols)), shape=(p * J, p * J)).tocsc()
-    return StackedFits(eta=eta, Q_eta=Q, site_fits=fits, n_sites=J, n_params=p)
+    eta = np.stack([f.eta_hat for f in fits], axis=1).ravel()
+    prec = np.stack([f.precision for f in fits])
+    return StackedFits(eta=eta, prec_blocks=prec, site_fits=fits)
 
 
 def fit_all_sites(records: list[tuple[np.ndarray, np.ndarray]], trend: bool = True,

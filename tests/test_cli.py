@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import spatgev.cli
+import spatgev.latent
 from spatgev.cli import main
 from spatgev.dataio import RunConfig
 from spatgev.dataio import _SCENARIO_KEYS
@@ -123,10 +124,11 @@ class TestFit:
             assert os.path.exists(os.path.join(fit, name))
         with open(os.path.join(fit, "model.json")) as fh:
             model = json.load(fh)
-        max_step_hash = hashlib.sha256(_read(os.path.join(fit, "max_step.csv"))).hexdigest()
-        assert model["max_step_sha256"] == max_step_hash
         manifest = _manifest_without_timestamp(os.path.join(fit, "manifest.json"))
-        assert manifest["outputs"]["max_step.csv"] == max_step_hash
+        for name in ("model.json", "max_step.csv", "theta_draws.csv", "theta_summary.csv",
+                     "eta_draws.csv", "nu_draws.csv"):
+            digest = hashlib.sha256(_read(os.path.join(fit, name))).hexdigest()
+            assert manifest["outputs"][name] == digest
         with open(os.path.join(fit, "max_step.csv")) as fh:
             header = fh.readline().rstrip().split(",")
             n_rows = sum(1 for _ in fh)
@@ -199,6 +201,45 @@ class TestFitDirectory:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "DataError"
         assert "max_step.csv" in err["message"]
+
+    def test_tampered_draw_refused(self, pipeline, tmp_path, capsys):
+        fit = self._copy_fit(pipeline, tmp_path)
+        path = os.path.join(fit, "eta_draws.csv")
+        with open(path) as fh:
+            lines = fh.read().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[0] = repr(float(cells[0]) + 5.0)
+        lines[1] = ",".join(cells)
+        with open(path, "w") as fh:
+            fh.write("".join(lines))
+        code = main(["predict", "--config", pipeline["cfg"], *pipeline["data"],
+                     "--fit", fit, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DataError"
+        assert "eta_draws.csv" in err["message"]
+
+    def test_queries_skip_field_eigenproblem(self, pipeline, tmp_path, monkeypatch):
+        # a fit with a field needs the eigenvalues for its likelihood; the
+        # queries on it evaluate no likelihood and must not compute them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, "spatial": {"psi": True},
+                                   "mcmc": {"n_chains": 1, "n_iterations": 40,
+                                            "n_kept": 10}}))
+        fit = str(tmp_path / "fit")
+        common = ["--config", str(cfg), *pipeline["data"]]
+        assert main(["fit", *common, "--out", fit]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("field eigenvalues computed")
+
+        monkeypatch.setattr(spatgev.latent, "field_eigenvalues", refuse)
+        targets = tmp_path / "targets.csv"
+        targets.write_text("station,x,y,c1,c2\nt001,50.0,50.0,0.5,-0.2\n")
+        assert main(["predict", *common, "--fit", fit, "--out", str(tmp_path / "p")]) == 0
+        assert main(["return-levels", *common, "--fit", fit, "--targets", str(targets),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert main(["aggregate", *common, "--fit", fit, "--out", str(tmp_path / "a")]) == 0
 
     def test_missing_file_refused(self, pipeline, tmp_path, capsys):
         fit = self._copy_fit(pipeline, tmp_path)

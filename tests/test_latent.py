@@ -1,8 +1,9 @@
 """Tests for the latent Gaussian level: marginal likelihood, sampling, MCMC.
 
-The marginal likelihood has three independent checks: the collapsed and joint
-sparse routes must agree to float precision, and both must match a dense
-multivariate-normal evaluation at small J.  The Metropolis sampler is checked
+The marginal likelihood is checked against a dense multivariate-normal
+evaluation at small J, with and without fields, covariates and trend.  The
+latent draws are checked against the moments of the joint (eta, nu)
+conditional built densely in the test.  The Metropolis sampler is checked
 against a grid-integrated posterior in a one-hyperparameter model.
 """
 
@@ -22,7 +23,6 @@ from spatgev.latent import (
     build_structure,
     log_prior_theta,
     marginal_loglik,
-    marginal_loglik_joint,
     run_mcmc,
     sample_latent,
     smooth_step,
@@ -59,17 +59,16 @@ def _dense_marginal_logpdf(st, theta):
 
 
 class TestMarginalLoglik:
-    def test_routes_agree(self):
+    def test_dense_oracle_covariate_field(self):
         stacked, sites, rng = _stacked(10, 51)
         X = np.column_stack([np.ones(10), rng.standard_normal(10)])
         st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True}, sites=sites)
         for _ in range(5):
             theta = np.exp(rng.uniform(-2.5, 1.0, size=st.n_theta))
-            a = marginal_loglik(st, theta)
-            b = marginal_loglik_joint(st, theta)
-            assert abs(a - b) < 1e-8
+            assert abs(marginal_loglik(st, theta) - _dense_marginal_logpdf(st, theta)) < 1e-8
 
-    def test_routes_agree_with_trend(self):
+    def test_dense_oracle_trend_two_fields(self):
+        # q=4 with fields on psi and tau
         stacked, sites, rng = _stacked(8, 52, trend=True)
         st = build_structure(
             stacked, designs={}, spatial={"psi": True, "tau": True}, sites=sites
@@ -77,10 +76,10 @@ class TestMarginalLoglik:
         assert st.n_params == 4 and st.n_theta == 8
         for _ in range(3):
             theta = np.exp(rng.uniform(-2.5, 1.0, size=8))
-            assert abs(marginal_loglik(st, theta) - marginal_loglik_joint(st, theta)) < 1e-8
+            assert abs(marginal_loglik(st, theta) - _dense_marginal_logpdf(st, theta)) < 1e-8
 
     def test_dense_oracle_small(self):
-        # J=5: both sparse routes against scipy's dense multivariate normal
+        # J=5 against scipy's dense multivariate normal
         stacked, sites, rng = _stacked(5, 53)
         X = np.column_stack([np.ones(5), np.linspace(-1, 1, 5)])
         st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True}, sites=sites)
@@ -88,7 +87,6 @@ class TestMarginalLoglik:
             theta = np.exp(rng.uniform(-2.0, 0.5, size=st.n_theta))
             ref = _dense_marginal_logpdf(st, theta)
             assert abs(marginal_loglik(st, theta) - ref) < 1e-8
-            assert abs(marginal_loglik_joint(st, theta) - ref) < 1e-8
 
     def test_dense_oracle_no_spatial(self):
         stacked, sites, rng = _stacked(6, 54)
@@ -151,23 +149,45 @@ class TestStructure:
 
 
 class TestConditionalSampling:
-    def test_moments_match_dense(self):
-        stacked, sites, rng = _stacked(6, 60)
-        st = build_structure(stacked, designs={}, spatial={})
-        theta = np.array([0.2, 0.15, 0.1])
-        from spatgev.latent import _joint_system
-
-        Q_post, b, *_ = _joint_system(st, theta)
-        dense = Q_post.toarray()
+    @staticmethod
+    def _assert_moments_match_dense(st, theta, seed):
+        # the joint (eta, nu) conditional built densely: precision
+        # [[B + S^-1, -S^-1 Z], [-Z' S^-1, Qnu + Z' S^-1 Z]] and shift
+        # (B eta_hat, 0), B the block-diagonal site precision, S the nuggets
+        J, q = st.n_sites, st.n_params
+        B = np.zeros((q * J, q * J))
+        for i in range(J):
+            idx = np.arange(q) * J + i
+            B[np.ix_(idx, idx)] = st.prec_blocks[i]
+        s_inv = np.repeat(1.0 / st.sigma_eps2_by_param(theta), J)
+        Z = st.Z.toarray()
+        Qn = st.q_nu(theta).toarray()
+        dense = np.block([[B + np.diag(s_inv), -s_inv[:, None] * Z],
+                          [-(s_inv[:, None] * Z).T, Qn + Z.T @ (s_inv[:, None] * Z)]])
+        b = np.concatenate([B @ st.eta_hat, np.zeros(st.n_nu)])
         mean_ref = np.linalg.solve(dense, b)
         cov_ref = np.linalg.inv(dense)
         n_mc = 3000
-        eta, nu = sample_latent(st, np.tile(theta, (n_mc, 1)), np.random.default_rng(4))
+        eta, nu = sample_latent(st, np.tile(theta, (n_mc, 1)), np.random.default_rng(seed))
         draws = np.hstack([eta, nu])
         se = np.sqrt(np.diag(cov_ref) / n_mc)
         assert np.all(np.abs(draws.mean(0) - mean_ref) < 4 * se + 1e-12)
         sd_ref = np.sqrt(np.diag(cov_ref))
         assert_allclose(draws.std(0), sd_ref, rtol=0.15)
+
+    def test_moments_match_dense(self):
+        stacked, sites, rng = _stacked(6, 60)
+        st = build_structure(stacked, designs={}, spatial={})
+        self._assert_moments_match_dense(st, np.array([0.2, 0.15, 0.1]), seed=4)
+
+    def test_moments_match_dense_two_fields(self):
+        # q=4 with fields on psi and tau: the per-site eta | nu step sees
+        # full 4 x 4 blocks and nu a field part per parameter
+        stacked, sites, rng = _stacked(8, 52, trend=True)
+        st = build_structure(stacked, designs={}, spatial={"psi": True, "tau": True},
+                             sites=sites)
+        theta = np.exp(rng.uniform(-2.0, 0.5, size=st.n_theta))
+        self._assert_moments_match_dense(st, theta, seed=4)
 
     def test_runs_of_equal_theta_match_row_by_row(self):
         # one factor per run of equal rows must give the same bits as one

@@ -52,7 +52,7 @@ class TestDiagonalize:
         for a, name in enumerate(("psi", "tau", "phi")):
             assert_allclose(obs[name].eta, stacked.eta_by_param[a])
             for i in range(3):
-                cov = np.linalg.inv(stacked.site_block(i))
+                cov = np.linalg.inv(stacked.prec_blocks[i])
                 assert_allclose(obs[name].var[i], cov[a, a], rtol=1e-12)
 
 

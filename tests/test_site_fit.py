@@ -172,19 +172,7 @@ class TestStackedFits:
         assert stacked.eta.shape == (12,)
         for i, f in enumerate(stacked.site_fits):
             assert_allclose(stacked.eta_by_param[:, i], f.eta_hat)
-            assert_allclose(stacked.site_block(i), f.precision)
-
-    def test_cross_site_blocks_are_zero(self):
-        p = GevParams(mu=30.0, sigma=8.0, xi=0.1)
-        records = [_record(p, 30, 40 + i) for i in range(3)]
-        stacked = fit_all_sites(records, trend=False)
-        J, q = 3, 3
-        dense = stacked.Q_eta.toarray()
-        for a in range(q):
-            for b in range(q):
-                block = dense[a * J:(a + 1) * J, b * J:(b + 1) * J]
-                off = block - np.diag(np.diag(block))
-                assert np.abs(off).max() == 0.0
+            assert_allclose(stacked.prec_blocks[i], f.precision)
 
     def test_empty_records(self):
         with pytest.raises(DataError):
