@@ -14,28 +14,45 @@ from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import NumericalError
 
-__all__ = ["SymmetricFactor"]
+__all__ = ["SymmetricFactor", "fill_reducing_order"]
+
+
+def _splu(Q: sparse.csc_matrix, permc_spec: str):
+    return splu(Q, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+
+
+def fill_reducing_order(pattern: sparse.spmatrix) -> np.ndarray:
+    """The fill-reducing order SymmetricFactor picks for a symmetric pattern.
+
+    The minimum-degree order depends on the nonzero structure alone, so it is
+    computed once, here from a diagonally dominant matrix on the pattern (the
+    pattern must hold the diagonal).  Every matrix A on the pattern then
+    factors as SymmetricFactor(A[order][:, order], order=order).
+    """
+    M = sparse.csc_matrix(pattern, dtype=float, copy=True)
+    M.data[:] = -1.0
+    M.setdiag(np.diff(M.indptr) + 1.0)
+    return np.argsort(_splu(M, "MMD_AT_PLUS_A").perm_c)
 
 
 class SymmetricFactor:
-    """Factorization of a sparse SPD matrix Q.
+    """Factorization of a sparse SPD matrix.
 
     Internally Q[p, :][:, p] = L U with U = D L^T, so Q factors as
-    (L sqrt(D)) (L sqrt(D))^T in the permuted ordering.
+    (L sqrt(D)) (L sqrt(D))^T in the permuted ordering.  Without an order,
+    SuperLU picks a minimum-degree order for Q.  With one, Q is already
+    permuted, Q = A[order][:, order] (see fill_reducing_order), SuperLU keeps
+    that order, and logdet, solve and transform are those of A.
     """
 
-    def __init__(self, Q: sparse.spmatrix):
+    def __init__(self, Q: sparse.spmatrix, order: np.ndarray | None = None):
         Q = sparse.csc_matrix(Q)
         if Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
         self.n = Q.shape[0]
         try:
-            self._lu = splu(
-                Q,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
+            self._lu = _splu(Q, "MMD_AT_PLUS_A" if order is None else "NATURAL")
         except RuntimeError as exc:  # singular factor
             raise NumericalError(f"sparse factorization failed: {exc}") from exc
         if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
@@ -45,6 +62,10 @@ class SymmetricFactor:
             raise NumericalError("matrix is not positive definite")
         self._diag_u = d
         self._perm = np.asarray(self._lu.perm_c)
+        self._order = order
+        if order is not None:
+            self._inv_order = np.argsort(order)
+            self._perm = self._perm[self._inv_order]
         self._m_t = None  # sampling operator, built on first draw only
 
     @property
@@ -54,7 +75,10 @@ class SymmetricFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve Q x = b (b may be a matrix of stacked right-hand sides)."""
-        return self._lu.solve(np.asarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
+        if self._order is None:
+            return self._lu.solve(b)
+        return self._lu.solve(b[self._order])[self._inv_order]
 
     def transform(self, z: np.ndarray) -> np.ndarray:
         """Map standard normals z, shape (m, n), to m draws from N(0, Q^-1).

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, spatial
 
 from .dataio import MaximaDataset
 from .errors import ConfigError, DataError, NumericalError
@@ -247,6 +246,8 @@ def fit_rsm(records: list, coords: np.ndarray, covariates: np.ndarray,
             ll = np.sum(-np.log(sigma[idx]) - (1.0 + xi[idx]) * w - np.exp(-w))
             ll += np.sum(shape_prior_logdensity(phi))
         return 1e30 if not np.isfinite(ll) else -float(ll)
+
+    from scipy import optimize
 
     res = optimize.minimize(negll, x0, method="L-BFGS-B",
                             options={"maxiter": 500})
@@ -649,6 +650,8 @@ def empirical_variogram(values, coords, bin_edges) -> tuple:
         raise DataError("values and coordinates differ in length")
     if values.size < 2:
         raise DataError("variogram needs at least two sites")
+    from scipy import spatial
+
     bin_edges = np.asarray(bin_edges, dtype=float)
     d = spatial.distance.pdist(coords)
     sq = spatial.distance.pdist(values[:, None], metric="sqeuclidean")

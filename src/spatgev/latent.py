@@ -18,7 +18,10 @@ into the pseudo-observation noise, W_i = (Q_i^-1 + diag(sigma_eps^2))^-1,
 nu has the collapsed posterior precision P = Q_nu + Z' W Z.  Its factor gives
 the marginal likelihood and the draw nu ~ N(P^-1 Z' W eta_hat, P^-1); each
 site's eta_i | nu is then a q x q Gaussian with precision
-Q_i + diag(sigma_eps^-2), drawn for all sites at once.
+Q_i + diag(sigma_eps^-2), drawn for all sites at once.  P keeps one sparsity
+pattern for every theta: the pattern, its fill-reducing order and the linear
+maps from theta's coefficients and the W blocks to P's values are built once
+per structure, so each theta costs two sparse mat-vecs and one factorization.
 """
 
 from __future__ import annotations
@@ -30,17 +33,15 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from ._sparse import SymmetricFactor
+from ._sparse import SymmetricFactor, fill_reducing_order
 from .errors import ConfigError, NumericalError
 from .site_fit import StackedFits
 from .spde import (
     Mesh,
-    fem_matrices,
-    field_eigenvalues,
     nugget_prior_logdensity,
     pc_prior_logdensity,
+    precision_coefficients,
     precision_logdet_fast,
-    precision_matrix,
     projector,
 )
 
@@ -72,6 +73,44 @@ class ParamModel:
     covariate_names: tuple = ()  # names for design columns after the intercept
 
 
+@dataclass(frozen=True)
+class _FixedPattern:
+    """A symmetric sparsity pattern whose values are linear in a few inputs.
+
+    The matrix has data coef_map @ coef (+ w_map @ w) on the csc pattern
+    (indptr, indices).  When order is set, the pattern is stored permuted by
+    that fill-reducing order, ready for SymmetricFactor(..., order=order).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    coef_map: sparse.csr_matrix
+    w_map: sparse.csr_matrix | None = None
+    order: np.ndarray | None = None
+
+    def matrix(self, coef: np.ndarray, w: np.ndarray | None = None) -> sparse.csc_matrix:
+        data = self.coef_map @ coef
+        if w is not None:
+            data += self.w_map @ w
+        n = self.indptr.size - 1
+        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+def _pattern(n: int, rows: np.ndarray, cols: np.ndarray,
+             order: np.ndarray | None = None) -> tuple:
+    """csc pattern (indptr, indices) of the entries and each entry's data slot.
+
+    Repeated (row, col) pairs share a slot.  With an order, the pattern is
+    that of the matrix permuted to M[order][:, order].
+    """
+    if order is not None:
+        new_index = np.argsort(order)
+        rows, cols = new_index[rows], new_index[cols]
+    keys, slot = np.unique(cols * n + rows, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return indptr, keys % n, slot
+
+
 @dataclass
 class LatentStructure:
     """Preassembled matrices shared by every likelihood evaluation."""
@@ -90,8 +129,6 @@ class LatentStructure:
     nu_slices: dict = field(init=False, repr=False)
     theta_names: list = field(init=False)
     _cov_blocks: np.ndarray = field(init=False, repr=False)
-    _C: sparse.spmatrix | None = field(init=False, repr=False)
-    _G: sparse.spmatrix | None = field(init=False, repr=False)
 
     def __post_init__(self):
         J = self.n_sites
@@ -127,19 +164,80 @@ class LatentStructure:
         sign, _ = np.linalg.slogdet(self.prec_blocks)
         if np.any(sign <= 0):
             raise NumericalError("a site precision block is not positive definite")
-        if any(pm.spatial for pm in self.params):
-            self._C, self._G = fem_matrices(self.mesh)
-        else:
-            self._C = self._G = None
+
+    def _q_nu_entries(self) -> tuple:
+        """Q_nu as (rows, cols, coefficient index, value) entries.
+
+        Q_nu's data is linear in the coefficients of q_nu_coefficients: the
+        beta diagonals take coefficient 0, and field f takes 1 + 3f, 2 + 3f
+        and 3 + 3f as weights of its mesh's C, G and G C^-1 G.
+        """
+        rows, cols, coef, vals = [], [], [], []
+        n_fields = 0
+        for pm in self.params:
+            beta = self.nu_slices[pm.name]["beta"]
+            idx = np.arange(beta.start, beta.stop)
+            rows.append(idx)
+            cols.append(idx)
+            coef.append(np.zeros(idx.size, dtype=int))
+            vals.append(np.ones(idx.size))
+            if pm.spatial:
+                pattern, terms = self.mesh.precision_terms
+                start = self.nu_slices[pm.name]["u"].start
+                r = pattern.indices + start
+                c = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr)) + start
+                for t in range(3):
+                    rows.append(r)
+                    cols.append(c)
+                    coef.append(np.full(r.size, 1 + 3 * n_fields + t))
+                    vals.append(terms[t])
+                n_fields += 1
+        return tuple(np.concatenate(x) for x in (rows, cols, coef, vals)) + (1 + 3 * n_fields,)
 
     @cached_property
-    def _field_spectrum(self) -> tuple:
-        """Generalized eigenvalues of (G, C) and log det C, for logdet_q_nu.
+    def _q_nu_pattern(self) -> _FixedPattern:
+        rows, cols, coef, vals, n_coef = self._q_nu_entries()
+        indptr, indices, slot = _pattern(self.n_nu, rows, cols)
+        coef_map = sparse.csr_matrix((vals, (slot, coef)), shape=(indices.size, n_coef))
+        return _FixedPattern(indptr, indices, coef_map)
 
-        A dense eigenproblem, O(n^3) in mesh nodes, so it is solved on the
-        first likelihood evaluation only; queries on a fit never need it.
+    @cached_property
+    def _p_pattern(self) -> _FixedPattern:
+        """P = Q_nu + Z' W Z on one fixed pattern, stored in fill-reducing order.
+
+        (Z' W Z)[r, s] sums Z[a J + i, r] W_i[a, b] Z[b J + i, s] over sites i
+        and parameters a, b, so every pair of nonzeros of Z in the rows of
+        one site adds value Z[.., r] Z[.., s] times W.ravel()[(i q + a) q + b].
+        Entries whose values cancel stay in the pattern as explicit zeros.
         """
-        return field_eigenvalues(self._C, self._G), float(np.sum(np.log(self._C.diagonal())))
+        J, q = self.n_sites, self.n_params
+        rows_q, cols_q, coef, vals_q, n_coef = self._q_nu_entries()
+        Zr = self.Z.tocsr()
+        z_row = np.repeat(np.arange(q * J), np.diff(Zr.indptr))
+        site, param = z_row % J, z_row // J
+        by_site = np.argsort(site, kind="stable")
+        site, param = site[by_site], param[by_site]
+        z_col, z_val = Zr.indices[by_site], Zr.data[by_site]
+        per_site = np.bincount(site, minlength=J)
+        reps = per_site[site]
+        first = np.repeat(np.arange(site.size), reps)
+        within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        second = np.repeat(np.cumsum(per_site)[site] - reps, reps) + within
+        rows_w, cols_w = z_col[first], z_col[second]
+        w_index = (site[first] * q + param[first]) * q + param[second]
+        vals_w = z_val[first] * z_val[second]
+
+        n = self.n_nu
+        rows = np.concatenate([rows_q, rows_w])
+        cols = np.concatenate([cols_q, cols_w])
+        indptr, indices, _ = _pattern(n, rows, cols)
+        order = fill_reducing_order(sparse.csc_matrix(
+            (np.ones(indices.size), indices, indptr), shape=(n, n)))
+        indptr, indices, slot = _pattern(n, rows, cols, order)
+        nnz, n_q = indices.size, rows_q.size
+        coef_map = sparse.csr_matrix((vals_q, (slot[:n_q], coef)), shape=(nnz, n_coef))
+        w_map = sparse.csr_matrix((vals_w, (slot[n_q:], w_index)), shape=(nnz, J * q * q))
+        return _FixedPattern(indptr, indices, coef_map, w_map, order)
 
     @property
     def n_sites(self) -> int:
@@ -171,17 +269,19 @@ class LatentStructure:
             out[pm.name] = d
         return out
 
-    def q_nu(self, theta: np.ndarray) -> sparse.csc_matrix:
-        """Prior precision of nu = (beta_l, u_l)_l at the given theta."""
-        parts = []
+    def q_nu_coefficients(self, theta: np.ndarray) -> np.ndarray:
+        """1 / sigma_beta^2, then precision_coefficients(rho, s) per field."""
+        out = [1.0 / self.sigma_beta**2]
         by_param = self.unpack_theta(theta)
         for pm in self.params:
-            p_l = pm.design.shape[1]
-            parts.append(sparse.identity(p_l) / self.sigma_beta**2)
             if pm.spatial:
                 h = by_param[pm.name]
-                parts.append(precision_matrix(self._C, self._G, rho=h["rho"], s=h["s"]))
-        return sparse.block_diag(parts, format="csc")
+                out.extend(precision_coefficients(h["rho"], h["s"]))
+        return np.array(out)
+
+    def q_nu(self, theta: np.ndarray) -> sparse.csc_matrix:
+        """Prior precision of nu = (beta_l, u_l)_l at the given theta."""
+        return self._q_nu_pattern.matrix(self.q_nu_coefficients(theta))
 
     def logdet_q_nu(self, theta: np.ndarray) -> float:
         out = 0.0
@@ -190,7 +290,7 @@ class LatentStructure:
             out += -2.0 * pm.design.shape[1] * math.log(self.sigma_beta)
             if pm.spatial:
                 h = by_param[pm.name]
-                lam, logdet_c = self._field_spectrum
+                lam, logdet_c = self.mesh.field_spectrum
                 out += precision_logdet_fast(lam, logdet_c, h["rho"], h["s"])
         return out
 
@@ -249,39 +349,35 @@ def build_structure(stacked: StackedFits, designs: dict[str, np.ndarray],
 # Marginal likelihood of eta_hat given theta
 # ----------------------------------------------------------------------------
 
-def _w_sparse(structure: LatentStructure, theta: np.ndarray):
-    """Per-site W blocks and their parameter-major sparse scatter.
+def _w_blocks(structure: LatentStructure, theta: np.ndarray):
+    """Per-site W blocks (J, q, q) and log det W.
 
     W_i = (Q_i^-1 + diag(sigma_eps^2))^-1 marginalizes the nugget into
     the pseudo-observation noise.
     """
-    J = structure.n_sites
-    q = structure.n_params
     sig2 = structure.sigma_eps2_by_param(theta)
     D = structure._cov_blocks + np.diag(sig2)[None, :, :]
     W = np.linalg.inv(D)
     sign, logdet_d = np.linalg.slogdet(D)
     if np.any(sign <= 0):
         raise NumericalError("noise covariance block lost positive definiteness")
-    a_idx, b_idx = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    i_idx = np.arange(J)
-    rows = (a_idx[None, :, :] * J + i_idx[:, None, None]).ravel()
-    cols = (b_idx[None, :, :] * J + i_idx[:, None, None]).ravel()
-    W_sp = sparse.coo_matrix((W.ravel(), (rows, cols)), shape=(q * J, q * J)).tocsc()
-    return W_sp, -float(logdet_d.sum())
+    return W, -float(logdet_d.sum())
 
 
 def _collapsed_system(structure: LatentStructure, theta: np.ndarray):
     """Factor of P = Q_nu + Z' W Z and the shift Z' W eta_hat at theta.
 
-    Also returns W (sparse) and log det W.  Raises NumericalError when P is
-    not positive definite.
+    P's values are written into its fixed pattern by two sparse mat-vecs.
+    Also returns eta_hat' W eta_hat and log det W.  Raises NumericalError
+    when P is not positive definite.
     """
-    W_sp, logdet_w = _w_sparse(structure, theta)
-    Q_nu = structure.q_nu(theta)
-    ZtW = (structure.Z.T @ W_sp).tocsc()
-    P = (Q_nu + ZtW @ structure.Z).tocsc()
-    return SymmetricFactor(P), ZtW @ structure.eta_hat, W_sp, logdet_w
+    W, logdet_w = _w_blocks(structure, theta)
+    pattern = structure._p_pattern
+    P = pattern.matrix(structure.q_nu_coefficients(theta), W.ravel())
+    q, J = structure.n_params, structure.n_sites
+    w_eta = np.einsum("jab,bj->aj", W, structure.eta_hat.reshape(q, J)).ravel()
+    return (SymmetricFactor(P, order=pattern.order), structure.Z.T @ w_eta,
+            float(structure.eta_hat @ w_eta), logdet_w)
 
 
 def marginal_loglik(structure: LatentStructure, theta: np.ndarray) -> float:
@@ -291,11 +387,11 @@ def marginal_loglik(structure: LatentStructure, theta: np.ndarray) -> float:
         return -np.inf
     n_obs = structure.eta_hat.shape[0]
     try:
-        fac, rhs, W_sp, logdet_w = _collapsed_system(structure, theta)
+        fac, rhs, eta_w_eta, logdet_w = _collapsed_system(structure, theta)
     except NumericalError:
         return -np.inf
     m = fac.solve(rhs)
-    quad = float(structure.eta_hat @ (W_sp @ structure.eta_hat)) - float(rhs @ m)
+    quad = eta_w_eta - float(rhs @ m)
     logdet_q_nu = structure.logdet_q_nu(theta)
     return float(
         -0.5 * n_obs * math.log(2.0 * math.pi)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, DataError
 from .gev import LINK, XI_SWITCH, GevParams, shape_inverse, trend_inverse
@@ -284,6 +283,8 @@ def order_stat_band(n: int, p: GevParams, level: float = 0.95,
     """
     if n < 1:
         raise ConfigError("record length must be at least 1")
+    from scipy import stats
+
     alpha = (1.0 - level) / 2.0
     k = np.arange(1, n + 1)
     lo_p = stats.beta.ppf(alpha, k, n + 1 - k)

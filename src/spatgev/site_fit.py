@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DataError
 from .gev import (
@@ -183,6 +182,8 @@ def fit_site(y: np.ndarray, years: np.ndarray, trend: bool = True, t0: float = L
     n_min = MIN_OBS_TREND if trend else MIN_OBS_STATIONARY
     if y.size < n_min:
         raise DataError(f"need at least {n_min} observations, got {y.size}")
+
+    from scipy.optimize import minimize
 
     def negf(z):
         return -site_loglik(z, y, years, t0=t0, include_priors=include_priors)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -33,6 +34,8 @@ __all__ = [
     "build_mesh",
     "fem_matrices",
     "precision_matrix",
+    "precision_terms",
+    "precision_coefficients",
     "precision_logdet",
     "field_eigenvalues",
     "precision_logdet_fast",
@@ -65,7 +68,12 @@ class MeshOptions:
 
 @dataclass
 class Mesh:
-    """Triangulation with the observation sites as leading nodes."""
+    """Triangulation with the observation sites as leading nodes.
+
+    The finite-element quantities below depend on the triangulation alone, so
+    each is computed on first use and then shared by every latent structure
+    built on this mesh.
+    """
 
     points: np.ndarray  # (n_nodes, 2)
     triangles: np.ndarray  # (n_tri, 3) indices into points
@@ -76,6 +84,25 @@ class Mesh:
     @property
     def n_nodes(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def fem(self) -> tuple:
+        """(C, G) from fem_matrices."""
+        return fem_matrices(self)
+
+    @cached_property
+    def field_spectrum(self) -> tuple:
+        """field_eigenvalues of (C, G) and log det C, for precision_logdet_fast.
+
+        A dense eigenproblem, O(n^3) in mesh nodes.
+        """
+        C, G = self.fem
+        return field_eigenvalues(C, G), float(np.sum(np.log(C.diagonal())))
+
+    @cached_property
+    def precision_terms(self) -> tuple:
+        """precision_terms of (C, G)."""
+        return precision_terms(*self.fem)
 
 
 def _site_diameter(sites: np.ndarray) -> float:
@@ -266,6 +293,48 @@ def precision_matrix(C: sparse.spmatrix, G: sparse.spmatrix, rho: float, s: floa
     K = (kappa**2) * C + G
     Q = tau2 * (K @ c_inv @ K)
     return sparse.csc_matrix(Q)
+
+
+def _values_on(pattern: sparse.csc_matrix, M: sparse.spmatrix) -> np.ndarray:
+    """Entries of M in the order of pattern.data; pattern must cover M's nonzeros."""
+    n = pattern.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    keys = cols * n + pattern.indices
+    M = M.tocoo()
+    out = np.zeros(pattern.nnz)
+    np.add.at(out, np.searchsorted(keys, M.col.astype(np.int64) * n + M.row), M.data)
+    return out
+
+
+def precision_terms(C: sparse.spmatrix, G: sparse.spmatrix) -> tuple:
+    """C, G and G C^-1 G as data vectors on one common sparsity pattern.
+
+    Returns (pattern, terms): pattern is a csc matrix with sorted indices
+    whose nonzeros are those of G C^-1 G taken structurally (it covers the
+    patterns of C and G, and keeps entries that cancel numerically), and
+    terms is a (3, nnz) array holding, in pattern.data order, the entries of
+    C, G and G C^-1 G.  With the coefficients of precision_coefficients,
+    terms.T @ coefficients is the data of precision_matrix on that pattern:
+    Q = tau^2 kappa^4 C + 2 tau^2 kappa^2 G + tau^2 G C^-1 G.
+    """
+    n = C.shape[0]
+    struct = (abs(sparse.csc_matrix(G)) + sparse.identity(n, format="csc")).tocsc()
+    struct.data[:] = 1.0
+    pattern = (struct @ struct).tocsc()  # positive entries: no cancellation
+    pattern.sort_indices()
+    c_inv = sparse.diags(1.0 / C.diagonal(), format="csc")
+    gcg = (G @ c_inv @ G).tocsc()
+    terms = np.stack([_values_on(pattern, M) for M in (C, G, gcg)])
+    return pattern, terms
+
+
+def precision_coefficients(rho: float, s: float) -> np.ndarray:
+    """Weights of C, G and G C^-1 G in precision_matrix(C, G, rho, s)."""
+    if rho <= 0 or s <= 0:
+        raise ValueError("rho and s must be positive")
+    kappa2 = 8.0 / rho**2
+    tau2 = 1.0 / (4.0 * math.pi * kappa2 * s**2)
+    return np.array([tau2 * kappa2**2, 2.0 * tau2 * kappa2, tau2])
 
 
 def precision_logdet(C: sparse.spmatrix, G: sparse.spmatrix, rho: float, s: float) -> float:

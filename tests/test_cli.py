@@ -10,12 +10,14 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import spatgev.cli
-import spatgev.latent
+import spatgev.spde
 from spatgev.cli import main
 from spatgev.dataio import RunConfig
 from spatgev.dataio import _SCENARIO_KEYS
@@ -233,7 +235,7 @@ class TestFitDirectory:
         def refuse(*args, **kwargs):
             raise AssertionError("field eigenvalues computed")
 
-        monkeypatch.setattr(spatgev.latent, "field_eigenvalues", refuse)
+        monkeypatch.setattr(spatgev.spde, "field_eigenvalues", refuse)
         targets = tmp_path / "targets.csv"
         targets.write_text("station,x,y,c1,c2\nt001,50.0,50.0,0.5,-0.2\n")
         assert main(["predict", *common, "--fit", fit, "--out", str(tmp_path / "p")]) == 0
@@ -437,3 +439,14 @@ class TestSelect:
         with open(os.path.join(out, "selection.csv")) as fh:
             header = fh.readline().rstrip()
         assert header == "parameter,step,added,cv_score"
+
+
+def test_import_leaves_out_unused_scipy_modules():
+    # scipy.stats and scipy.optimize load only inside the functions using them
+    code = ("import sys, spatgev.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(spatgev.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ against a grid-integrated posterior in a one-hyperparameter model.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spatgev.latent import (
     LatentStructure,
     McmcConfig,
     ParamModel,
+    _collapsed_system,
     build_structure,
     log_prior_theta,
     marginal_loglik,
@@ -28,6 +30,7 @@ from spatgev.latent import (
     smooth_step,
 )
 from spatgev.site_fit import fit_all_sites
+from spatgev.spde import fem_matrices, precision_matrix
 
 
 def _stacked(J, seed, trend=False, n_years=50):
@@ -146,6 +149,64 @@ class TestStructure:
         )
         assert_allclose(log_prior_theta(st, theta), expect, rtol=1e-12)
         assert log_prior_theta(st, theta * -1.0) == -np.inf
+
+
+def _fixed_pattern_cases():
+    """One-field and psi+tau-field structures with a few theta each."""
+    stacked, sites, rng = _stacked(10, 55)
+    X = np.column_stack([np.ones(10), rng.standard_normal(10)])
+    one = build_structure(stacked, designs={"psi": X}, spatial={"psi": True}, sites=sites)
+    stacked, sites, _ = _stacked(8, 56, trend=True)
+    two = build_structure(stacked, designs={"psi": X[:8]},
+                          spatial={"psi": True, "tau": True}, sites=sites)
+    return [(st, np.exp(rng.uniform(-2.5, 1.0, size=(3, st.n_theta)))) for st in (one, two)]
+
+
+class TestFixedPattern:
+    def test_q_nu_matches_block_diag_of_field_precisions(self):
+        for st, thetas in _fixed_pattern_cases():
+            C, G = fem_matrices(st.mesh)
+            for theta in thetas:
+                by_param = st.unpack_theta(theta)
+                parts = []
+                for pm in st.params:
+                    parts.append(sparse.identity(pm.design.shape[1]) / st.sigma_beta**2)
+                    if pm.spatial:
+                        h = by_param[pm.name]
+                        parts.append(precision_matrix(C, G, rho=h["rho"], s=h["s"]))
+                assert_allclose(st.q_nu(theta).toarray(), sparse.block_diag(parts).toarray(),
+                                rtol=1e-12)
+
+    def test_mapped_p_matches_dense(self):
+        for st, thetas in _fixed_pattern_cases():
+            J, q = st.n_sites, st.n_params
+            Z = st.Z.toarray()
+            for theta in thetas:
+                W_blocks = np.linalg.inv(st._cov_blocks + np.diag(st.sigma_eps2_by_param(theta)))
+                W = np.zeros((q * J, q * J))
+                for i in range(J):
+                    idx = np.arange(q) * J + i
+                    W[np.ix_(idx, idx)] = W_blocks[i]
+                P_ref = st.q_nu(theta).toarray() + Z.T @ W @ Z
+                pattern = st._p_pattern
+                back = np.argsort(pattern.order)
+                P = pattern.matrix(st.q_nu_coefficients(theta), W_blocks.ravel()).toarray()
+                assert_allclose(P[np.ix_(back, back)], P_ref, rtol=1e-12)
+                fac, rhs, eta_w_eta, logdet_w = _collapsed_system(st, theta)
+                assert_allclose(rhs, Z.T @ W @ st.eta_hat, rtol=1e-12)
+                assert_allclose(eta_w_eta, st.eta_hat @ W @ st.eta_hat, rtol=1e-12)
+                assert_allclose(logdet_w, np.linalg.slogdet(W)[1], rtol=1e-12)
+                assert_allclose(fac.logdet, np.linalg.slogdet(P_ref)[1], rtol=1e-10)
+                assert_allclose(fac.solve(rhs), np.linalg.solve(P_ref, rhs), rtol=1e-8)
+
+    def test_pickled_structure_is_bit_equal(self):
+        for st, thetas in _fixed_pattern_cases():
+            before = marginal_loglik(st, thetas[0])
+            copy = pickle.loads(pickle.dumps(st))
+            for theta in thetas:
+                assert marginal_loglik(copy, theta) == marginal_loglik(st, theta)
+                assert np.array_equal(copy.q_nu(theta).toarray(), st.q_nu(theta).toarray())
+            assert marginal_loglik(copy, thetas[0]) == before
 
 
 class TestConditionalSampling:

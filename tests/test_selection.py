@@ -22,6 +22,7 @@ from spatgev.selection import (
     make_folds,
     select_all,
 )
+from spatgev import spde
 from spatgev.site_fit import fit_all_sites
 from spatgev.spde import build_mesh, fem_matrices, precision_matrix, projector, sample_field
 
@@ -214,6 +215,24 @@ class TestSpatialDecision:
         res = forward_select(obs, {}, mesh=mesh, sites=sites,
                              config=SelectionConfig(n_folds=5, grid_size=5))
         assert not res.spatial
+
+
+    def test_field_spectrum_solved_once_per_mesh(self, monkeypatch):
+        # every candidate structure shares the mesh and so its eigenproblem
+        obs, mesh, sites = self._field_obs(seed=23, field_scale=0.6, nugget=0.1)
+        rng = np.random.default_rng(23)
+        cov = {"x1": rng.normal(size=50), "x2": rng.normal(size=50)}
+        calls = []
+        eigenvalues = spde.field_eigenvalues
+
+        def counted(*args):
+            calls.append(1)
+            return eigenvalues(*args)
+
+        monkeypatch.setattr(spde, "field_eigenvalues", counted)
+        forward_select(obs, cov, mesh=mesh, sites=sites,
+                       config=SelectionConfig(n_folds=5, grid_size=3))
+        assert len(calls) == 1
 
 
 class TestSelectAll:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
-from spatgev._sparse import SymmetricFactor
+from spatgev._sparse import SymmetricFactor, fill_reducing_order
 from spatgev.errors import NumericalError
 
 
@@ -64,3 +64,39 @@ class TestFactor:
         Q = sparse.csc_matrix(np.diag([1.0, 0.0, 3.0]))
         with pytest.raises(NumericalError):
             SymmetricFactor(Q)
+
+
+class TestFixedOrder:
+    """SymmetricFactor(A[order][:, order], order=order) acts as a factor of A."""
+
+    @staticmethod
+    def _ordered(Q):
+        order = fill_reducing_order(Q)
+        return SymmetricFactor(sparse.csc_matrix(Q[order][:, order]), order=order)
+
+    def test_order_is_the_default_factor_order(self):
+        rng = np.random.default_rng(25)
+        Q = _random_spd(80, rng)
+        assert self._ordered(Q)._lu.nnz == SymmetricFactor(Q)._lu.nnz
+
+    def test_logdet_and_solve_match_dense(self):
+        rng = np.random.default_rng(26)
+        Q = _random_spd(60, rng)
+        f = self._ordered(Q)
+        assert_allclose(f.logdet, np.linalg.slogdet(Q.toarray())[1], rtol=1e-10)
+        B = rng.standard_normal((60, 3))
+        assert_allclose(f.solve(B), np.linalg.solve(Q.toarray(), B), rtol=1e-9, atol=1e-12)
+        assert_allclose(f.solve(B[:, 0]), np.linalg.solve(Q.toarray(), B[:, 0]),
+                        rtol=1e-9, atol=1e-12)
+
+    def test_sample_covariance(self):
+        rng = np.random.default_rng(27)
+        Q = _random_spd(12, rng, density=0.3)
+        draws = self._ordered(Q).sample(np.random.default_rng(98), size=200_000)
+        ref = np.linalg.inv(Q.toarray())
+        assert_allclose(np.cov(draws.T), ref, atol=6 * np.abs(ref).max() / np.sqrt(200_000 / 3))
+
+    def test_rejects_indefinite(self):
+        Q = sparse.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -2.0, 0.0], [0.0, 0.0, 3.0]]))
+        with pytest.raises(NumericalError):
+            self._ordered(Q)
