@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -85,17 +86,21 @@ class MaximaDataset:
         return np.column_stack(cols)
 
 
-def _open_text(path: str):
+def _csv_rows(path: str, delimiter: str | None):
+    """csv.reader over the UTF-8 text of path, sniffing the delimiter when None."""
     try:
-        return open(path, newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _sniff_delimiter(path: str) -> str:
-    with _open_text(path) as fh:
-        head = fh.readline()
-    return "\t" if "\t" in head and "," not in head else ","
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+    if delimiter is None:
+        head = io.StringIO(text, newline="").readline()
+        delimiter = "\t" if "\t" in head and "," not in head else ","
+    return csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
 
 
 def read_maxima_csv(path: str, delimiter: str | None = None) -> list:
@@ -104,41 +109,38 @@ def read_maxima_csv(path: str, delimiter: str | None = None) -> list:
     Returns a list of (station_id, year, value) tuples in file order.
     Duplicate (station, year) pairs raise DataError naming the line numbers.
     """
-    if delimiter is None:
-        delimiter = _sniff_delimiter(path)
     rows = []
     seen: dict = {}
-    with _open_text(path) as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip().lower() for h in header]
-        required = ("station", "year", "amax")
-        if not all(col in header for col in required):
+    reader = _csv_rows(path, delimiter)
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip().lower() for h in header]
+    required = ("station", "year", "amax")
+    if not all(col in header for col in required):
+        raise DataError(
+            f"{path}: header must contain station, year, amax; got {header}"
+        )
+    i_st = header.index("station")
+    i_yr = header.index("year")
+    i_am = header.index("amax")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            st = row[i_st].strip()
+            yr = int(float(row[i_yr]))
+            am = float(row[i_am])
+        except (IndexError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        key = (st, yr)
+        if key in seen:
             raise DataError(
-                f"{path}: header must contain station, year, amax; got {header}"
+                f"{path}: duplicate station/year {st}/{yr} at lines "
+                f"{seen[key]} and {lineno}"
             )
-        i_st = header.index("station")
-        i_yr = header.index("year")
-        i_am = header.index("amax")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                st = row[i_st].strip()
-                yr = int(float(row[i_yr]))
-                am = float(row[i_am])
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            key = (st, yr)
-            if key in seen:
-                raise DataError(
-                    f"{path}: duplicate station/year {st}/{yr} at lines "
-                    f"{seen[key]} and {lineno}"
-                )
-            seen[key] = lineno
-            rows.append((st, yr, am))
+        seen[key] = lineno
+        rows.append((st, yr, am))
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows
@@ -194,32 +196,29 @@ def read_descriptors_csv(path: str, delimiter: str | None = None):
     column_names excludes the station key.  Coordinate columns x and y, if
     present, stay in the table like any other column.
     """
-    if delimiter is None:
-        delimiter = _sniff_delimiter(path)
-    with _open_text(path) as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        lower = [h.lower() for h in header]
-        if "station" not in lower:
-            raise DataError(f"{path}: missing station column")
-        i_st = lower.index("station")
-        names = [h for k, h in enumerate(header) if k != i_st]
-        ids, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+    reader = _csv_rows(path, delimiter)
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    lower = [h.lower() for h in header]
+    if "station" not in lower:
+        raise DataError(f"{path}: missing station column")
+    i_st = lower.index("station")
+    names = [h for k, h in enumerate(header) if k != i_st]
+    ids, rows = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
             st = row[i_st].strip()
-            if st in ids:
-                raise DataError(f"{path}:{lineno}: duplicate station {st}")
-            try:
-                vals = [_parse_cell(row[k]) for k in range(len(header)) if k != i_st]
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            ids.append(st)
-            rows.append(vals)
+            vals = [_parse_cell(row[k]) for k in range(len(header)) if k != i_st]
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        if st in ids:
+            raise DataError(f"{path}:{lineno}: duplicate station {st}")
+        ids.append(st)
+        rows.append(vals)
     if not ids:
         raise DataError(f"{path}: no data rows")
     return ids, names, np.asarray(rows, dtype=float)

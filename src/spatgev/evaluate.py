@@ -22,10 +22,10 @@ from .dataio import MaximaDataset
 from .errors import ConfigError, DataError, NumericalError
 from .gev import (
     GevParams,
-    _gumbel_exponent,
-    gev_log_pdf,
     link_inverse,
     LinkedParams,
+    logpdf,
+    reduced_variate,
     shape_inverse,
     shape_prior_logdensity,
 )
@@ -232,18 +232,18 @@ def fit_rsm(records: list, coords: np.ndarray, covariates: np.ndarray,
         if np.any(np.abs(psi) > 300.0) or np.any(np.abs(tau) > 300.0):
             return 1e30
         with np.errstate(over="ignore", invalid="ignore"):
-            mu = np.exp(psi)
-            sigma = mu * np.exp(tau)
-            xi = shape_inverse(phi)
-            z = (y - mu[idx]) / sigma[idx]
-            support = 1.0 + xi[idx] * z
+            mu = np.exp(psi)[idx]
+            sigma = mu * np.exp(tau)[idx]
+            xi = shape_inverse(phi)[idx]
+            z = (y - mu) / sigma
+            support = 1.0 + xi * z
             if np.any(support <= 1e-12):
                 # graded penalty: a flat wall stalls the line search
                 return 1e8 * (1.0 + float(np.sum(np.maximum(0.0, 1e-12 - support))))
-            w = _gumbel_exponent(z, xi[idx])
+            w = reduced_variate(z, xi)
             if np.any(w < -700.0):
                 return 1e8 * (1.0 - float(np.min(w)) - 700.0)
-            ll = np.sum(-np.log(sigma[idx]) - (1.0 + xi[idx]) * w - np.exp(-w))
+            ll = np.sum(logpdf(y, mu, sigma, xi))
             ll += np.sum(shape_prior_logdensity(phi))
         return 1e30 if not np.isfinite(ll) else -float(ll)
 
@@ -424,8 +424,10 @@ class CvResult:
 # ----------------------------------------------------------------------------
 
 
-def _bits_from_density(p: float) -> float:
-    return float(log_score(p)) if p >= LOG_SCORE_FLOOR else math.nan
+def _bits_from_density(p):
+    """Log scores in bits; NaN (excluded) where the density is below the floor."""
+    p = np.asarray(p, dtype=float)
+    return np.where(p >= LOG_SCORE_FLOOR, log_score(p), math.nan)
 
 
 def _test_observations(dataset: MaximaDataset, sites: np.ndarray,
@@ -438,6 +440,12 @@ def _test_observations(dataset: MaximaDataset, sites: np.ndarray,
         for yr, v in zip(np.asarray(years)[mask], np.asarray(y)[mask]):
             cells.append((int(i), float(yr), float(v)))
     return cells
+
+
+def _gev_bits(cells: list, mu, sigma, xi) -> np.ndarray:
+    """Log scores of stationary GEV densities, one kernel call for all cells."""
+    values = np.array([v for _, _, v in cells], dtype=float)
+    return _bits_from_density(np.exp(logpdf(values, mu, sigma, xi)))
 
 
 def _lgm_designs(dataset: MaximaDataset, spec: ModelSpec, sites: np.ndarray,
@@ -466,8 +474,7 @@ def _fit_lgm(dataset: MaximaDataset, spec: ModelSpec, plan: CvPlan,
 def _ungauged_for(dataset: MaximaDataset, spec: ModelSpec, site: int,
                   covariate_names: list) -> UngaugedSite:
     if spec.covariates and covariate_names:
-        sub = dataset.subset(np.array([site]))
-        row = sub.design_matrix(covariate_names)[0]
+        row = dataset.design_matrix(covariate_names)[site]
     else:
         row = np.ones(1)
     rows = {"psi": row, "tau": row, "phi": np.ones(1)}
@@ -531,41 +538,26 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
         try:
             if name == "CONST":
                 p0 = fit_const(train_ds.records)
-                within_bits[name] = np.array([
-                    _bits_from_density(math.exp(gev_log_pdf(v, p0)))
-                    for _, _, v in within_cells])
-                out_bits[name] = np.array([
-                    _bits_from_density(math.exp(gev_log_pdf(v, p0)))
-                    for _, _, v in out_cells])
+                for cells, bits in ((within_cells, within_bits), (out_cells, out_bits)):
+                    bits[name] = _gev_bits(cells, p0.mu, p0.sigma, p0.xi)
             elif name == "MLE":
                 fits = _natural_params(site_fits(False))
-                within_bits[name] = np.array([
-                    _bits_from_density(math.exp(gev_log_pdf(v, fits[train_pos[s]])))
-                    for s, _, v in within_cells])
+                mu, sigma, xi = np.array([[f.mu, f.sigma, f.xi] for f in fits]).T
+                k = [train_pos[s] for s, _, _ in within_cells]
+                within_bits[name] = _gev_bits(within_cells, mu[k], sigma[k], xi[k])
                 # not applicable out of site
             elif name == "RSM":
-                rsm = fit_rsm(train_ds.records, train_ds.sites,
-                              train_ds.design_matrix(covariate_names)[:, 1:]
-                              if covariate_names else np.zeros((plan.train_sites.size, 0)),
+                covs = (dataset.design_matrix(covariate_names)[:, 1:] if covariate_names
+                        else np.zeros((dataset.n_sites, 0)))
+                rsm = fit_rsm(train_ds.records, train_ds.sites, covs[plan.train_sites],
                               covariate_names=tuple(covariate_names))
                 if not rsm.converged:
                     raise NumericalError("response-surface optimizer failed")
-
-                def rsm_bits(cells):
-                    coords = dataset.sites[[s for s, _, _ in cells]]
-                    if covariate_names:
-                        covs = np.vstack([
-                            dataset.subset(np.array([s])).design_matrix(covariate_names)[0, 1:]
-                            for s, _, _ in cells])
-                    else:
-                        covs = np.zeros((len(cells), 0))
-                    params = rsm.params_at(coords, covs)
-                    return np.array([
-                        _bits_from_density(math.exp(gev_log_pdf(v, prm)))
-                        for (_, _, v), prm in zip(cells, params)])
-
-                within_bits[name] = rsm_bits(within_cells)
-                out_bits[name] = rsm_bits(out_cells)
+                for cells, bits in ((within_cells, within_bits), (out_cells, out_bits)):
+                    idx = [s for s, _, _ in cells]
+                    psi, tau, phi = rsm.linked_at(dataset.sites[idx], covs[idx]).T
+                    mu = np.exp(psi)
+                    bits[name] = _gev_bits(cells, mu, mu * np.exp(tau), shape_inverse(phi))
             else:
                 spec = LGM_VARIANTS[name]
                 result = _fit_lgm(dataset, spec, plan, covariate_names, mcmc,
@@ -579,20 +571,11 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
                     for k, (s, yr, v) in enumerate(cells):
                         key = (s, yr if spec.trend else None)
                         if key not in cache:
-                            if gauged:
-                                target = train_pos[s]
-                                samples = posterior_predictive(
-                                    result, target, rng,
-                                    year=yr if spec.trend else None,
-                                    n_per_draw=n_per, t0=t0)
-                            else:
-                                ug = _ungauged_for(dataset, spec, s,
-                                                   covariate_names)
-                                samples = posterior_predictive(
-                                    result, ug, rng,
-                                    year=yr if spec.trend else None,
-                                    n_per_draw=n_per, t0=t0)
-                            cache[key] = samples
+                            target = (train_pos[s] if gauged else
+                                      _ungauged_for(dataset, spec, s, covariate_names))
+                            cache[key] = posterior_predictive(
+                                result, target, rng, year=yr if spec.trend else None,
+                                n_per_draw=n_per, t0=t0)
                         bits[k] = _bits_from_density(kde_density(cache[key], v))
                     return bits
 

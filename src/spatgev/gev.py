@@ -8,6 +8,12 @@ densities are computed in log space throughout.  The natural parameter space is
 
 and the link space is (psi, tau, phi, gamma) = (log mu, log(sigma/mu),
 shape_forward(xi), trend_forward(delta)), all unconstrained reals.
+
+The GEV arithmetic has one home, the kernel reduced_variate, logpdf, cdf and
+quantile on broadcasting (loc, scale, xi) arrays; gev_log_pdf, gev_cdf and
+gev_quantile apply it to one site's GevParams.  site_fit.site_loglik takes w
+from it but sums -n*log(sigma) - (1+xi)*sum(w) - sum(exp(-w)) itself:
+summing logpdf rounds differently and would move the golden site fits.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ __all__ = [
     "GevParams",
     "LinkedParams",
     "location_at",
+    "reduced_variate",
+    "logpdf",
+    "cdf",
+    "quantile",
     "gev_log_pdf",
     "gev_cdf",
     "gev_quantile",
@@ -38,7 +48,7 @@ __all__ = [
     "trend_prior_logdensity",
 ]
 
-# Below this |xi| the Gumbel branch with second-order Taylor corrections is used.
+# Below this |xi| the kernel uses the Gumbel limit with Taylor corrections.
 XI_SWITCH = 1e-7
 
 # Half-open shape interval enforced by the link.
@@ -120,13 +130,25 @@ def location_at(p: GevParams, t, t0: float | None = None) -> np.ndarray | float:
     return p.mu * (1.0 + p.delta * (np.asarray(t, dtype=float) - anchor))
 
 
-def _gumbel_exponent(z, xi):
-    """w = log(1 + xi*z)/xi, the Gumbel-reduced variate; -inf outside support.
+# ----------------------------------------------------------------------------
+# The GEV kernel: broadcasting array functions of (loc, scale, xi)
+# ----------------------------------------------------------------------------
 
-    The log-pdf is -log(sigma) - (1+xi)*w - exp(-w) and the CDF is
-    exp(-exp(-w)), both valid across xi = 0 through the Taylor branch.
+def reduced_variate(z, xi):
+    """w = log(1 + xi*z)/xi at standardized z = (y - loc)/scale.
+
+    The log-density is -log(scale) - (1+xi)*w - exp(-w) and the CDF is
+    exp(-exp(-w)).  For |xi| < XI_SWITCH the Taylor branch z - xi*z^2/2 +
+    xi^2*z^3/3 carries both across xi = 0.  Outside the support w is -inf
+    below the lower endpoint (xi > 0) and +inf above the upper one (xi < 0).
     """
     z = np.asarray(z, dtype=float)
+    if isinstance(xi, float) and abs(xi) >= XI_SWITCH:
+        # the max step's common case, bit-equal to the masked path below:
+        # a scalar shape and every point inside the support
+        xz = xi * z
+        if (xz > -1.0).all():
+            return np.log1p(xz) / xi
     xi = np.asarray(xi, dtype=float)
     z, xi = np.broadcast_arrays(z, xi)
     w = np.empty_like(z)
@@ -147,63 +169,83 @@ def _gumbel_exponent(z, xi):
     return w
 
 
-def gev_log_pdf(y, p: GevParams, t=None, t0: float | None = None):
-    """Log-density of the GEV with trend-adjusted location; -inf outside support."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+def logpdf(y, loc, scale, xi):
+    """GEV log-density; -inf outside the support."""
+    w = reduced_variate((y - loc) / scale, xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = -np.log(scale) - (1.0 + xi) * w - np.exp(-w)
+    return np.where(np.isfinite(w), out, -np.inf)
+
+
+def cdf(y, loc, scale, xi):
+    """GEV distribution function; 0 below and 1 above the support."""
+    w = reduced_variate((y - loc) / scale, xi)
+    with np.errstate(over="ignore"):
+        return np.exp(-np.exp(-w))
+
+
+def quantile(prob, loc, scale, xi):
+    """GEV quantile at prob, which broadcasts against the parameters."""
+    prob = np.asarray(prob, dtype=float)
+    ell = np.log(-np.log(prob))
+    xi = np.asarray(xi, dtype=float)
+    small = np.abs(xi) < XI_SWITCH
+    xi_safe = np.where(small, 1.0, xi)
+    bracket = np.where(
+        small,
+        -ell + xi * ell**2 / 2.0 - xi**2 * ell**3 / 6.0,
+        np.expm1(-xi_safe * ell) / xi_safe,
+    )
+    return loc + scale * bracket
+
+
+def _at_year(kernel, x, p: GevParams, t, t0):
+    """kernel(x, location, sigma, xi) for one site at year t (default: the anchor)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise ValueError("observations must be finite")
     if t is None:
         t = t0 if t0 is not None else LINK.t0
-    mu_t = location_at(p, t, t0)
-    z = (y - mu_t) / p.sigma
-    w = _gumbel_exponent(z, p.xi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = -math.log(p.sigma) - (1.0 + p.xi) * w - np.exp(-w)
-    out = np.where(np.isfinite(w), out, -np.inf)
+    out = kernel(x, location_at(p, t, t0), p.sigma, p.xi)
     return out if out.ndim else float(out)
+
+
+def gev_log_pdf(y, p: GevParams, t=None, t0: float | None = None):
+    """Log-density of the GEV with trend-adjusted location; -inf outside support."""
+    return _at_year(logpdf, y, p, t, t0)
 
 
 def gev_cdf(y, p: GevParams, t=None, t0: float | None = None):
     """GEV distribution function; 0 below and 1 above the support."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observations must be finite")
-    if t is None:
-        t = t0 if t0 is not None else LINK.t0
-    mu_t = location_at(p, t, t0)
-    z = (y - mu_t) / p.sigma
-    w = _gumbel_exponent(z, p.xi)
-    with np.errstate(over="ignore"):
-        out = np.exp(-np.exp(-w))
-    return out if out.ndim else float(out)
+    return _at_year(cdf, y, p, t, t0)
 
 
 def gev_quantile(prob, p: GevParams, t=None, t0: float | None = None):
     """Quantile (inverse CDF) at probability prob in (0, 1)."""
     prob = np.asarray(prob, dtype=float)
-    if np.any(prob <= 0.0) or np.any(prob >= 1.0):
+    if not np.all((prob > 0.0) & (prob < 1.0)):
         raise ValueError("prob must lie strictly inside (0, 1)")
-    if t is None:
-        t = t0 if t0 is not None else LINK.t0
-    mu_t = location_at(p, t, t0)
-    ell = np.log(-np.log(prob))
-    if abs(p.xi) < XI_SWITCH:
-        bracket = -ell + p.xi * ell * ell / 2.0 - p.xi * p.xi * ell**3 / 6.0
-    else:
-        bracket = np.expm1(-p.xi * ell) / p.xi
-    out = mu_t + p.sigma * bracket
-    return out if out.ndim else float(out)
+    return _at_year(quantile, prob, p, t, t0)
 
 
 def gev_sample(p: GevParams, t, n: int, rng: np.random.Generator, t0: float | None = None):
     """Draw n variates at year(s) t by inverse-CDF of uniforms."""
-    u = rng.uniform(size=n)
-    return gev_quantile(u, p, t, t0)
+    return gev_quantile(rng.uniform(size=n), p, t, t0)
 
 
 # ----------------------------------------------------------------------------
 # Componentwise links
 # ----------------------------------------------------------------------------
+
+# One ulp inside the ends of the open xi and delta intervals.
+_XI_IN = float(np.nextafter(XI_LO, 0.0)), float(np.nextafter(XI_HI, 0.0))
+_DELTA_IN = float(np.nextafter(LINK.delta0, 0.0))
+
+
+def _clamp(out: np.ndarray, lo: float, hi: float):
+    """out clipped to [lo, hi]; a float for 0-d out, where np.clip is slow."""
+    return np.clip(out, lo, hi) if out.ndim else min(max(float(out), lo), hi)
+
 
 def shape_forward(xi):
     """Map xi in (-1/2, 1/2) to the unconstrained transformed shape."""
@@ -224,8 +266,7 @@ def shape_inverse(phi):
     phi = np.asarray(phi, dtype=float)
     e = np.exp((phi - _A_PHI) / _B_PHI)
     out = (-np.expm1(-e)) ** (1.0 / LINK.c_phi) - 0.5
-    out = np.clip(out, np.nextafter(XI_LO, 0.0), np.nextafter(XI_HI, 0.0))
-    return out if out.ndim else float(out)
+    return _clamp(out, *_XI_IN)
 
 
 def shape_inverse_deriv(phi):
@@ -250,10 +291,14 @@ def trend_forward(delta):
 
 
 def trend_inverse(gamma):
-    """Inverse trend map: delta0 * tanh(gamma / delta0)."""
+    """Inverse trend map: delta0 * tanh(gamma / delta0).
+
+    Clamped one ulp inside +-delta0, where tanh saturates, so finite gamma
+    always yields delta in the open interval (-delta0, delta0).
+    """
     gamma = np.asarray(gamma, dtype=float)
     out = LINK.delta0 * np.tanh(gamma / LINK.delta0)
-    return out if out.ndim else float(out)
+    return _clamp(out, -_DELTA_IN, _DELTA_IN)
 
 
 def link_forward(p: GevParams) -> LinkedParams:

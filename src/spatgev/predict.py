@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .gev import LINK, XI_SWITCH, GevParams, shape_inverse, trend_inverse
+from .gev import LINK, GevParams, gev_quantile, quantile, shape_inverse, trend_inverse
 from .latent import SmoothResult
 from .spde import projector
 
@@ -34,38 +34,18 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------------
-# Vectorized quantile machinery over posterior draws
+# Natural parameters of the draws
 # ----------------------------------------------------------------------------
-
-
-def _quantile_vec(prob, mu_t, sigma, xi):
-    """GEV quantile with array parameters; prob broadcastable against them."""
-    prob = np.asarray(prob, dtype=float)
-    ell = np.log(-np.log(prob))
-    xi = np.asarray(xi, dtype=float)
-    small = np.abs(xi) < XI_SWITCH
-    xi_safe = np.where(small, 1.0, xi)
-    bracket = np.where(
-        small,
-        -ell + xi * ell**2 / 2.0 - xi**2 * ell**3 / 6.0,
-        np.expm1(-xi_safe * ell) / xi_safe,
-    )
-    return mu_t + sigma * bracket
 
 
 def _natural_draws(linked: dict, year: float | None, t0: float | None = None):
     """Linked draws dict -> (mu_t, sigma, xi) arrays at the given year."""
     mu = np.exp(linked["psi"])
-    sigma = mu * np.exp(linked["tau"])
-    xi = shape_inverse(linked["phi"])
-    if "gamma" in linked:
-        anchor = LINK.t0 if t0 is None else t0
-        t = anchor if year is None else float(year)
-        delta = trend_inverse(linked["gamma"])
-        mu_t = mu * (1.0 + delta * (t - anchor))
-    else:
-        mu_t = mu
-    return mu_t, sigma, xi
+    anchor = LINK.t0 if t0 is None else t0
+    t = anchor if year is None else float(year)
+    delta = trend_inverse(linked["gamma"]) if "gamma" in linked else 0.0
+    mu_t = mu * (1.0 + delta * (t - anchor))
+    return mu_t, mu * np.exp(linked["tau"]), shape_inverse(linked["phi"])
 
 
 def _site_linked_draws(result: SmoothResult, site: int) -> dict:
@@ -100,7 +80,7 @@ def _check_periods(periods) -> np.ndarray:
 def _curve_from_linked(linked: dict, periods, year, t0=None) -> ReturnLevelCurve:
     periods = _check_periods(periods)
     mu_t, sigma, xi = _natural_draws(linked, year, t0)
-    draws = _quantile_vec(1.0 - 1.0 / periods[:, None], mu_t, sigma, xi)
+    draws = quantile(1.0 - 1.0 / periods[:, None], mu_t, sigma, xi)
     return ReturnLevelCurve(
         periods=periods,
         mean=draws.mean(axis=1),
@@ -116,7 +96,7 @@ def return_level_draws(result: SmoothResult, site: int, period: float,
     period = float(_check_periods(period)[0])
     linked = _site_linked_draws(result, site)
     mu_t, sigma, xi = _natural_draws(linked, year, t0)
-    return _quantile_vec(1.0 - 1.0 / period, mu_t, sigma, xi)
+    return quantile(1.0 - 1.0 / period, mu_t, sigma, xi)
 
 
 def return_level(result: SmoothResult, site: int, periods,
@@ -146,7 +126,7 @@ def _event_at(result: SmoothResult, values: dict, coeffs: dict, period: float) -
     lp = {k: np.asarray(v) for k, v in linked.items()}
     lp.pop("gamma", None)  # the event is evaluated at the anchor year
     mu_t, sigma, xi = _natural_draws(lp, year=None)
-    return float(_quantile_vec(1.0 - 1.0 / period, mu_t, sigma, xi))
+    return float(quantile(1.0 - 1.0 / period, mu_t, sigma, xi))
 
 
 def effect_table(result: SmoothResult, covariate_values: dict,
@@ -270,7 +250,7 @@ def posterior_predictive(result: SmoothResult, site: int | UngaugedSite,
         linked = _site_linked_draws(result, site)
     mu_t, sigma, xi = _natural_draws(linked, year, t0)
     u = rng.uniform(size=(n_per_draw, mu_t.shape[0]))
-    return _quantile_vec(u, mu_t, sigma, xi).ravel()
+    return quantile(u, mu_t, sigma, xi).ravel()
 
 
 def order_stat_band(n: int, p: GevParams, level: float = 0.95,
@@ -287,13 +267,8 @@ def order_stat_band(n: int, p: GevParams, level: float = 0.95,
 
     alpha = (1.0 - level) / 2.0
     k = np.arange(1, n + 1)
-    lo_p = stats.beta.ppf(alpha, k, n + 1 - k)
-    hi_p = stats.beta.ppf(1.0 - alpha, k, n + 1 - k)
-    anchor = LINK.t0 if t0 is None else t0
-    mu_t = p.mu if year is None else p.mu * (1.0 + p.delta * (year - anchor))
-    lo = _quantile_vec(lo_p, mu_t, p.sigma, p.xi)
-    hi = _quantile_vec(hi_p, mu_t, p.sigma, p.xi)
-    return np.column_stack([lo, hi])
+    return np.column_stack([gev_quantile(stats.beta.ppf(q, k, n + 1 - k), p, year, t0)
+                            for q in (alpha, 1.0 - alpha)])
 
 
 def detrend_observations(y, years, delta: float, t0: float | None = None) -> np.ndarray:

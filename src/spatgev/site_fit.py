@@ -1,7 +1,7 @@
 """Per-site generalized maximum likelihood in link space.
 
 Each site's block maxima are fit independently by maximizing the GEV
-log-likelihood plus the site-level priors on the transformed shape and trend
+log-likelihood (from the kernel in gev.py) plus the site-level priors on the transformed shape and trend
 (the "generalized" part; location and scale get no site-level prior).  The
 result is a Gaussian pseudo-observation for the second stage: the link-space
 mode together with the negative Hessian there as its precision.
@@ -22,6 +22,7 @@ from .errors import DataError
 from .gev import (
     LINK,
     shape_inverse,
+    reduced_variate,
     shape_prior_logdensity,
     trend_inverse,
     trend_prior_logdensity,
@@ -52,10 +53,11 @@ def site_loglik(z: np.ndarray, y: np.ndarray, years: np.ndarray, t0: float = LIN
                 include_priors: bool = True) -> float:
     """Generalized log-likelihood at link-space point z = (psi, tau, phi[, gamma]).
 
-    Returns -inf where the parameters put any observation outside the GEV
-    support or drive the trend-adjusted location nonpositive.  This is the
-    innermost loop of every fit, so the GEV density is inlined rather than
-    routed through gev_log_pdf.
+    The GEV term is -n*log(sigma) - (1+xi)*sum(w) - sum(exp(-w)) with w
+    from gev.reduced_variate, so an observation outside the support gives
+    w = +-inf and the sum is -inf or nan, both returned as -inf; so is a
+    nonpositive trend-adjusted location.  The sum is kept in this form, not
+    taken over gev.logpdf, because the site fits are pinned bit for bit.
     """
     z = np.asarray(z, dtype=float)
     trend = z.shape[0] == 4
@@ -77,13 +79,7 @@ def site_loglik(z: np.ndarray, y: np.ndarray, years: np.ndarray, t0: float = LIN
         s = (y - mu_t) / sigma
     else:
         s = (y - mu) / sigma
-    if abs(xi) < 1e-7:
-        w = s - xi * s * s * 0.5
-    else:
-        inner = 1.0 + xi * s
-        if inner.min() <= 0.0:
-            return -np.inf
-        w = np.log1p(xi * s) / xi
+    w = reduced_variate(s, xi)
     ll = -n * math.log(sigma) - (1.0 + xi) * float(w.sum()) - float(np.exp(-w).sum())
     if not np.isfinite(ll):
         return -np.inf

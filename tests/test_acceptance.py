@@ -28,6 +28,7 @@ from spatgev.gev import (
     gev_sample,
     link_forward,
     link_inverse,
+    logpdf,
     shape_forward,
     shape_inverse,
     shape_prior_logdensity,
@@ -57,20 +58,10 @@ def _batch_gen_loglik(psi, tau, phi, y):
     Cross-checked against site_loglik below; used only to make the profile
     quadrature fast enough for 100 replications.
     """
-    mu = np.exp(psi)
-    sig = mu * np.exp(tau)
-    xi = shape_inverse(phi)
-    s = (y[None, :] - mu[:, None]) / sig[:, None]
-    xs = xi[:, None] * s
-    small = np.abs(xi) < 1e-7
-    bad = (xs <= -1.0).any(axis=1) & ~small
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = np.where(small[:, None], s - 0.5 * xs * s,
-                     np.log1p(np.maximum(xs, -1.0 + 1e-12))
-                     / np.where(small, 1.0, xi)[:, None])
-        ll = (-y.size * np.log(sig) - (1.0 + xi) * w.sum(axis=1)
-              - np.exp(-w).sum(axis=1) + shape_prior_logdensity(phi))
-    return np.where(bad | ~np.isfinite(ll), -np.inf, ll)
+    mu = np.exp(psi)[:, None]
+    sig = mu * np.exp(tau)[:, None]
+    xi = shape_inverse(phi)[:, None]
+    return logpdf(y[None, :], mu, sig, xi).sum(axis=1) + shape_prior_logdensity(phi)
 
 
 def _profile_tvs(y, n_grid=161, width=8.0, n_sweeps=150):

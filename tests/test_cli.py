@@ -396,6 +396,17 @@ class TestErrorSurface:
                      "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("row", [b"A,1e999,2", b"A,2001,\xff2"])
+    def test_unreadable_row_exit_code(self, tmp_path, capsys, row):
+        # an overflowing year and a byte that is not UTF-8 are data errors
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"station,year,amax\nA,2000,1\n" + row + b"\n")
+        code = main(["fit-sites", "--maxima", str(p), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert "m.csv:3" in err["message"]
+
     def test_short_record_names_station(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         lines = ["station,year,amax"]

@@ -52,6 +52,19 @@ class TestMaximaCsv:
         with pytest.raises(DataError, match=r"m\.csv:3"):
             read_maxima_csv(str(p))
 
+    @pytest.mark.parametrize("year", ["inf", "-inf", "1e999"])
+    def test_infinite_year_is_malformed(self, tmp_path, year):
+        p = tmp_path / "m.csv"
+        p.write_text(f"station,year,amax\nA,2000,1\nA,{year},2\n")
+        with pytest.raises(DataError, match=r"m\.csv:3: malformed row"):
+            read_maxima_csv(str(p))
+
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"station,year,amax\nA,2000,1\nA,2001,\xff2\n")
+        with pytest.raises(DataError, match=r"m\.csv:3: not UTF-8"):
+            read_maxima_csv(str(p))
+
     def test_missing_header_column(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("station,year,peak\nA,2000,1\n")
@@ -98,6 +111,18 @@ class TestDescriptorsCsv:
         assert ids == ["A", "B"]
         assert names == ["x", "y", "AREA"]
         assert_allclose(values, [[1.0, 2.0, 100.0], [3.0, 4.0, 250.0]])
+
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"station,x,y\nA,1,2\n\xe9B,3,4\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: not UTF-8"):
+            read_descriptors_csv(str(p))
+
+    def test_short_row_is_malformed(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x,y,station\n1,2,A\n3\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: malformed row"):
+            read_descriptors_csv(str(p))
 
     def test_duplicate_station(self, tmp_path):
         p = tmp_path / "d.csv"

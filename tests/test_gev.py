@@ -114,6 +114,16 @@ class TestTrendLink:
         # gamma equal to delta0 itself maps strictly inside the band
         assert_allclose(trend_inverse(0.008), TREND_INV_D0, rtol=1e-13)
 
+    def test_inverse_stays_open_where_tanh_saturates(self):
+        # tanh(25) rounds to 1, so without the clamp delta would be delta0
+        for gamma in (0.2, 1.0, 1e300):
+            assert 0.0 < trend_inverse(gamma) < LINK.delta0
+            assert -LINK.delta0 < trend_inverse(-gamma) < 0.0
+        d = trend_inverse(np.array([-0.2, 0.0, 0.2]))
+        assert np.all(np.abs(d) < LINK.delta0)
+        p = link_inverse(LinkedParams(psi=3.0, tau=-1.0, phi=0.0, gamma=0.2))
+        assert np.isfinite(link_forward(p).gamma)
+
     def test_identity_at_zero(self):
         assert trend_forward(0.0) == 0.0
         eps = 1e-6
