@@ -143,29 +143,23 @@ def reduced_variate(z, xi):
     below the lower endpoint (xi > 0) and +inf above the upper one (xi < 0).
     """
     z = np.asarray(z, dtype=float)
-    if isinstance(xi, float) and abs(xi) >= XI_SWITCH:
-        # the max step's common case, bit-equal to the masked path below:
-        # a scalar shape and every point inside the support
+    if isinstance(xi, float):  # the max step's scalar shape: skip numpy's overhead
+        in_band = abs(xi) < XI_SWITCH
+    else:
+        xi = np.asarray(xi, dtype=float)
+        in_band = (np.abs(xi) < XI_SWITCH).any()
+    if not in_band:
+        # the common case, bit-equal to the general path below: no shape in
+        # the Taylor band and every point inside the support
         xz = xi * z
         if (xz > -1.0).all():
             return np.log1p(xz) / xi
-    xi = np.asarray(xi, dtype=float)
-    z, xi = np.broadcast_arrays(z, xi)
-    w = np.empty_like(z)
     small = np.abs(xi) < XI_SWITCH
-    zs = z[small]
-    xs = xi[small]
-    w[small] = zs - xs * zs * zs / 2.0 + xs * xs * zs**3 / 3.0
-    zb = z[~small]
-    xb = xi[~small]
-    tb = 1.0 + xb * zb
-    wb = np.full_like(zb, np.inf)
-    ok = tb > 0.0
-    wb[ok] = np.log1p(xb[ok] * zb[ok]) / xb[ok]
-    # t <= 0 with xi > 0 means y below the lower endpoint: w -> -inf side.
-    below = (~ok) & (xb > 0.0)
-    wb[below] = -np.inf
-    w[~small] = wb
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.log1p(xi * z) / np.where(small, 1.0, xi)
+        w = np.where(1.0 + xi * z > 0.0, w, np.where(xi > 0.0, -np.inf, np.inf))
+        if small.any():
+            w = np.where(small, z - xi * z * z / 2.0 + xi * xi * z**3 / 3.0, w)
     return w
 
 
@@ -230,7 +224,8 @@ def gev_quantile(prob, p: GevParams, t=None, t0: float | None = None):
 
 def gev_sample(p: GevParams, t, n: int, rng: np.random.Generator, t0: float | None = None):
     """Draw n variates at year(s) t by inverse-CDF of uniforms."""
-    return gev_quantile(rng.uniform(size=n), p, t, t0)
+    u = rng.uniform(size=n)
+    return gev_quantile(u, p, t, t0)
 
 
 # ----------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Property tests: the GEV kernel against scipy, the link bounds, the copula
-reordering, and the max step on awkward records.
+reordering, the max step on awkward records, and the maxima reader on
+arbitrary bytes.
 
 Every test runs with derandomize=True, so hypothesis draws the same examples
 on every run and the suite stays reproducible.
 """
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -76,10 +76,13 @@ def test_kernel_matches_scipy_at_the_support_edge(xi, d):
        z=hnp.arrays(float, st.integers(1, 20), elements=st.floats(-1e3, 1e3)))
 @example(xi=0.3, z=np.array([-10.0, 0.0, 5.0]))  # one point below the support
 @example(xi=-0.3, z=np.array([-1.0, 10.0]))  # one point above it
-def test_scalar_shape_path_is_bit_equal_to_array_shape(xi, z):
+def test_common_path_is_bit_equal_to_general_path(xi, z):
     scalar = reduced_variate(z, xi)
     array = reduced_variate(z, np.full_like(z, xi))
+    # one extra shape inside the Taylor band sends every entry down the general path
+    general = reduced_variate(np.append(z, 1.0), np.append(np.full_like(z, xi), 0.0))[:-1]
     assert np.array_equal(scalar, array)
+    assert np.array_equal(scalar, general)
 
 
 @SETTINGS
@@ -135,12 +138,6 @@ def test_fit_site_gives_a_typed_error_or_a_finite_fit(trend, magnitude, levels, 
     assert np.all(np.isfinite(fit.eta_hat))
     assert np.all(np.isfinite(fit.precision))
     assert np.isfinite(fit.loglik)
-
-
-def test_fit_site_below_minimum_length_is_a_data_error():
-    with pytest.raises(DataError):
-        fit_site(np.ones(MIN_OBS_STATIONARY - 1), np.arange(MIN_OBS_STATIONARY - 1.0),
-                 trend=False)
 
 
 @SETTINGS
