@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -87,20 +86,30 @@ class MaximaDataset:
 
 
 def _csv_rows(path: str, delimiter: str | None):
-    """csv.reader over the UTF-8 text of path, sniffing the delimiter when None."""
+    """Rows of the UTF-8 text file at path, sniffing the delimiter when None.
+
+    A file that cannot be read or decoded raises DataError naming it, and
+    the line of the first byte that is not UTF-8.
+    """
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        text = raw.decode("utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            if delimiter is None:
+                head = fh.readline()
+                fh.seek(0)
+                delimiter = "\t" if "\t" in head and "," not in head else ","
+            yield from csv.reader(fh, delimiter=delimiter)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
-    if delimiter is None:
-        head = io.StringIO(text, newline="").readline()
-        delimiter = "\t" if "\t" in head and "," not in head else ","
-    return csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    except UnicodeDecodeError:
+        # the text reader decodes in chunks: locate the byte in the whole file
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+        raise
 
 
 def read_maxima_csv(path: str, delimiter: str | None = None) -> list:

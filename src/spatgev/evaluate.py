@@ -180,10 +180,6 @@ class RsmFit:
             designs[2] @ self.coef["phi"],
         ])
 
-    def params_at(self, coords: np.ndarray, covariates: np.ndarray) -> list:
-        rows = self.linked_at(np.atleast_2d(coords), np.atleast_2d(covariates))
-        return [link_inverse(LinkedParams(psi=r[0], tau=r[1], phi=r[2])) for r in rows]
-
 
 def _stack_observations(records: list) -> tuple:
     y_all, idx = [], []

@@ -30,7 +30,7 @@ from spatgev.evaluate import (
     score_summary,
     se_of_mean_diff,
 )
-from spatgev.gev import GevParams, gev_log_pdf, gev_sample
+from spatgev.gev import GevParams, LinkedParams, gev_log_pdf, gev_sample, link_inverse
 from spatgev.latent import McmcConfig
 from spatgev.simulate import Scenario, simulate_dataset
 from spatgev.site_fit import fit_site
@@ -162,7 +162,7 @@ class TestRsm:
         coords = np.array([[0.0, 0.0]])
         rsm = fit_rsm(records, coords, np.zeros((1, 0)), orders=(0, 0, 0))
         const = fit_const(records)
-        prm = rsm.params_at(coords, np.zeros((1, 0)))[0]
+        prm = link_inverse(LinkedParams(*rsm.linked_at(coords, np.zeros((1, 0)))[0]))
         assert rsm.converged
         assert abs(prm.mu / const.mu - 1.0) < 1e-4
         assert abs(prm.sigma / const.sigma - 1.0) < 1e-4
