@@ -17,6 +17,12 @@ and n_restarts.  predict, return-levels and aggregate rebuild the latent
 structure from that file and never rerun the max step.  Every file they read
 from the fit directory must match its sha256 in manifest.json; a missing
 manifest, file or entry, or a mismatch, is refused with a data error.
+
+Where the work runs: fit, fit-sites, select and cv fit the stations of the
+max step, run the MCMC chains and select covariates per link parameter in
+forked worker processes, one per core the process may use, and the artifacts
+are the same bytes as a serial run.  Limit the cores with the CPU affinity,
+for example taskset -c 0 spatgev fit ... to run everything in one process.
 """
 
 from __future__ import annotations

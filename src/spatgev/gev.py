@@ -232,6 +232,13 @@ def gev_sample(p: GevParams, t, n: int, rng: np.random.Generator, t0: float | No
 # Componentwise links
 # ----------------------------------------------------------------------------
 
+# The shape map's exponent (phi - a) / b is taken at phi held inside
+# [_PHI_LO, _PHI_HI].  That moves no value: below, e = exp((phi - a) / b) is
+# already 0; above, e > 1e300, so expm1(-e) is -1 and exp(-e) * e is 0 in
+# float64, xi sits at its clamp and its derivative is zero.  It keeps the
+# divide and exp from overflowing at large |phi|.
+_PHI_LO, _PHI_HI = _A_PHI - 800.0 * _B_PHI, _A_PHI + 700.0 * _B_PHI
+
 # One ulp inside the ends of the open xi and delta intervals.
 _XI_IN = float(np.nextafter(XI_LO, 0.0)), float(np.nextafter(XI_HI, 0.0))
 _DELTA_IN = float(np.nextafter(LINK.delta0, 0.0))
@@ -252,22 +259,30 @@ def shape_forward(xi):
     return out if out.ndim else float(out)
 
 
+def _shape_e(phi):
+    """exp((phi - a) / b); a float phi is worked on as a float64 scalar.
+
+    The max step passes floats, where numpy's 0-d array overhead dominates;
+    the scalar gets the same operations as a 0-d array, so the same bits.
+    """
+    if isinstance(phi, float):
+        return np.exp((np.float64(min(max(phi, _PHI_LO), _PHI_HI)) - _A_PHI) / _B_PHI)
+    return np.exp((np.clip(np.asarray(phi, dtype=float), _PHI_LO, _PHI_HI) - _A_PHI) / _B_PHI)
+
+
 def shape_inverse(phi):
     """Inverse shape map; finite phi always yields xi in (-1/2, 1/2).
 
     Clamped one ulp inside the endpoints where float64 saturates, so the
     open-interval invariant holds for arbitrarily large |phi|.
     """
-    phi = np.asarray(phi, dtype=float)
-    e = np.exp((phi - _A_PHI) / _B_PHI)
-    out = (-np.expm1(-e)) ** (1.0 / LINK.c_phi) - 0.5
+    out = (-np.expm1(-_shape_e(phi))) ** (1.0 / LINK.c_phi) - 0.5
     return _clamp(out, *_XI_IN)
 
 
 def shape_inverse_deriv(phi):
     """Analytic d xi / d phi, used as the change-of-variables Jacobian."""
-    phi = np.asarray(phi, dtype=float)
-    e = np.exp((phi - _A_PHI) / _B_PHI)
+    e = _shape_e(phi)
     inner = -np.expm1(-e)
     with np.errstate(over="ignore", under="ignore"):
         out = (1.0 / LINK.c_phi) * inner ** (1.0 / LINK.c_phi - 1.0) * np.exp(-e) * e / _B_PHI
@@ -328,6 +343,8 @@ def shape_prior_logdensity(phi):
     Beta(4, 4) shifted to (-1/2, 1/2) on the shape scale, pushed through the
     inverse map with its analytic Jacobian.
     """
+    if isinstance(phi, float):  # the max step's scalar shape: skip numpy's overhead
+        return _shape_prior_scalar(phi)
     phi = np.asarray(phi, dtype=float)
     xi = shape_inverse(phi)
     with np.errstate(divide="ignore"):
@@ -336,6 +353,23 @@ def shape_prior_logdensity(phi):
     out = log_beta + log_jac
     out = np.where(np.isfinite(out), out, -np.inf)
     return out if out.ndim else float(out)
+
+
+def _shape_prior_scalar(phi: float) -> float:
+    """shape_prior_logdensity for one float: the same ufuncs on float64 scalars.
+
+    Each step repeats the 0-d array path's operation on the same operands, so
+    the result is equal bit for bit; e, the expm1 term and xi are computed
+    once, and a zero Jacobian returns -inf before its log is taken.
+    """
+    e = _shape_e(phi)
+    inner = -np.expm1(-e)
+    xi = _clamp(inner ** (1.0 / LINK.c_phi) - 0.5, *_XI_IN)
+    jac = (1.0 / LINK.c_phi) * inner ** (1.0 / LINK.c_phi - 1.0) * np.exp(-e) * e / _B_PHI
+    if not jac > 0.0:  # zero, or nan for a nan phi
+        return -math.inf
+    out = _BETA_LOG_NORM + 3.0 * np.log(xi + 0.5) + 3.0 * np.log(0.5 - xi) + np.log(jac)
+    return float(out) if math.isfinite(out) else -math.inf
 
 
 def trend_prior_logdensity(gamma):

@@ -34,6 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from ._sparse import SymmetricFactor, fill_reducing_order
+from ._workers import run_indexed
 from .errors import ConfigError, NumericalError
 from .site_fit import StackedFits
 from .spde import (
@@ -502,6 +503,11 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
     covariance adapts during burn-in (empirical covariance scaled toward the
     target acceptance rate) and is frozen afterwards so the kept draws come
     from a fixed Markov kernel.  Fixed seed gives bit-identical output.
+
+    Each chain keeps its own RNG, spawned from the seed, and the chains run
+    in forked worker processes, one per available core
+    (_workers.run_indexed); R-hat, ESS and the stacking stay here.  The
+    output equals the serial run bit for bit, which taskset -c 0 forces.
     """
     config = config or McmcConfig()
     config.validate()
@@ -533,9 +539,8 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
     thin = max(1, n_post // config.n_kept)
     first_kept = n_burn + n_post - thin * config.n_kept
 
-    kept = np.empty((config.n_chains, config.n_kept, d))
-    acc_rates = np.empty(config.n_chains)
-    for c in range(config.n_chains):
+    def chain(c: int) -> tuple:
+        """One chain's kept draws on log theta, (n_kept, d), and its acceptance rate."""
         rng = np.random.default_rng(seeds[c])
         x = x0 + 0.1 * rng.standard_normal(d)
         fx = log_post(x)
@@ -550,6 +555,7 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
         mean = x.copy()
         cov = np.eye(d) * 0.01
         chol = np.linalg.cholesky(cov)
+        kept = np.empty((config.n_kept, d))
         n_acc = 0
         k_keep = 0
         for t in range(n_iter):
@@ -574,11 +580,21 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
                     except np.linalg.LinAlgError:
                         pass
             elif t >= first_kept and (t - first_kept) % thin == thin - 1:
-                kept[c, k_keep] = x
+                kept[k_keep] = x
                 k_keep += 1
         if k_keep != config.n_kept:
             raise NumericalError("thinning bookkeeping is inconsistent")
-        acc_rates[c] = n_acc / n_iter
+        return kept, n_acc / n_iter
+
+    # fill the caches that every likelihood call reads before the workers
+    # fork, so they share them and sample_latent finds them here; filled
+    # directly, since a log_post call would count as a likelihood evaluation
+    _ = structure._p_pattern
+    if any(pm.spatial for pm in structure.params):
+        _ = structure.mesh.field_spectrum
+    chains = run_indexed(chain, config.n_chains)
+    kept = np.stack([k for k, _ in chains])
+    acc_rates = np.array([rate for _, rate in chains])
 
     rhat = _split_rhat(kept)
     ess = _ess(kept)

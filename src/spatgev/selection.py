@@ -23,6 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from ._sparse import SymmetricFactor
+from ._workers import run_indexed
 from .errors import ConfigError
 from .latent import LatentStructure, ParamModel, log_prior_theta, marginal_loglik
 from .site_fit import PARAM_NAMES, StackedFits
@@ -297,12 +298,21 @@ def select_all(stacked: StackedFits, covariates: dict,
                mesh: Mesh | None = None, sites: np.ndarray | None = None,
                config: SelectionConfig | None = None,
                parameters: tuple | None = None) -> dict:
-    """Run forward selection for each transformed parameter."""
+    """Run forward selection for each transformed parameter.
+
+    The parameters run in forked worker processes, one per available core
+    (_workers.run_indexed), with results equal to a serial loop bit for bit;
+    restrict the process's CPU affinity (taskset -c 0) to run them serially.
+    """
     obs_by_param = diagonalize(stacked)
     if parameters is None:
         parameters = tuple(PARAM_NAMES[: stacked.n_params])
-    out = {}
-    for name in parameters:
-        out[name] = forward_select(obs_by_param[name], covariates, mesh=mesh,
-                                   sites=sites, config=config)
-    return out
+    if mesh is not None:
+        # every spatial candidate reads these; fill them once, before the fork
+        _ = mesh.field_spectrum, mesh.precision_terms
+
+    def select_one(k: int) -> SelectionResult:
+        return forward_select(obs_by_param[parameters[k]], covariates, mesh=mesh,
+                              sites=sites, config=config)
+
+    return dict(zip(parameters, run_indexed(select_one, len(parameters))))

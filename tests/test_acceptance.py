@@ -8,8 +8,10 @@ a seeded replication rate with its threshold stated next to the assert.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
+import multiprocessing
 import os
 import time
 
@@ -18,6 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from spatgev.cli import main as cli_main
 from spatgev.copula import grow_samples, historical_block, rank_reorder
 from spatgev.evaluate import run_cv, make_cv_plan
 from spatgev.gev import (
@@ -321,3 +324,84 @@ def test_criterion_10_copula_postprocessing():
         q_ind = np.quantile(indep, 0.99)
         wins += abs(q_re - q_true) < abs(q_ind - q_true)
     assert wins >= int(0.95 * 50)
+
+
+def _run_cli_pipeline(root, cores, monkeypatch):
+    """simulate -> fit -> predict with the process limited to the given cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    cfg = os.path.join(root, "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({
+            "seed": 21,
+            "scenario": {"n_sites": 12, "trend": True,
+                         "record_length": 30},
+            "transform_descriptors": False, "trend": True, "covariates": ["c1"],
+            "spatial": {"psi": True, "tau": False},
+            "mcmc": {"n_chains": 3, "n_iterations": 200, "n_kept": 20},
+            "return_periods": [10.0, 100.0],
+        }, fh)
+    sim, fit, pred = (os.path.join(root, d) for d in ("sim", "fit", "pred"))
+    data = ["--maxima", os.path.join(sim, "maxima.csv"),
+            "--sites", os.path.join(sim, "sites.csv")]
+    for argv in (["simulate", "--config", cfg, "--out", sim],
+                 ["fit", "--config", cfg, *data, "--out", fit],
+                 ["predict", "--config", cfg, *data, "--fit", fit, "--out", pred]):
+        assert cli_main(argv) == 0
+        assert multiprocessing.active_children() == []
+    return {d: os.path.join(root, d) for d in ("sim", "fit", "pred")}
+
+
+def _short_record_error(root, cores, monkeypatch, capsys):
+    """fit-sites on eight stations whose 4th and 6th records are too short."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    rng = np.random.default_rng(8)
+    lines = ["station,year,amax"]
+    for k in range(1, 9):
+        n = 3 if k in (4, 6) else 25
+        lines += [f"S{k:02d},{1980 + t},{float(v)!r}"
+                  for t, v in enumerate(30.0 + 8.0 * rng.gumbel(size=n))]
+    maxima = os.path.join(root, "short.csv")
+    with open(maxima, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli_main(["fit-sites", "--maxima", maxima, "--out", os.path.join(root, "fs")])
+    assert multiprocessing.active_children() == []
+    return code, capsys.readouterr().err
+
+
+def test_criterion_11_cli_outputs_do_not_depend_on_the_cores(tmp_path, monkeypatch, capsys):
+    # the max step, the chains and selection run in forked workers when the
+    # process may use several cores; the artifacts must not show it
+    runs = []
+    for name, cores in (("all", {0, 1}), ("one", {0})):
+        root = tmp_path / name
+        root.mkdir()
+        runs.append(_run_cli_pipeline(str(root), cores, monkeypatch))
+    for step in ("sim", "fit", "pred"):
+        dirs = [run[step] for run in runs]
+        names = sorted(os.listdir(dirs[0]))
+        assert names == sorted(os.listdir(dirs[1]))
+        manifests = []
+        for d in dirs:
+            with open(os.path.join(d, "manifest.json")) as fh:
+                manifest = json.load(fh)
+            for out_name, digest in manifest["outputs"].items():
+                with open(os.path.join(d, out_name), "rb") as fh:
+                    assert hashlib.sha256(fh.read()).hexdigest() == digest, out_name
+            manifest.pop("created_utc")
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        for out_name in names:
+            if out_name == "manifest.json":
+                continue
+            with open(os.path.join(dirs[0], out_name), "rb") as a, \
+                    open(os.path.join(dirs[1], out_name), "rb") as b:
+                assert a.read() == b.read(), f"{step}/{out_name}"
+
+    errors = [_short_record_error(str(tmp_path / name), cores, monkeypatch, capsys)
+              for name, cores in (("all", {0, 1}), ("one", {0}))]
+    assert errors[0] == errors[1]
+    code, err = errors[0]
+    assert code == 3
+    assert json.loads(err) == {"error": "DataError",
+                               "message": "station S04: need at least 5 observations, got 3"}

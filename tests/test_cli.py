@@ -453,9 +453,11 @@ class TestSelect:
 
 
 def test_import_leaves_out_unused_scipy_modules():
-    # scipy.stats and scipy.optimize load only inside the functions using them
+    # scipy.stats, scipy.optimize and the worker pool's multiprocessing load
+    # only inside the functions using them
     code = ("import sys, spatgev.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+            "print([m for m in ('scipy.stats', 'scipy.optimize', 'multiprocessing')"
+            " if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(spatgev.cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -4,10 +4,14 @@ The marginal likelihood is checked against a dense multivariate-normal
 evaluation at small J, with and without fields, covariates and trend.  The
 latent draws are checked against the moments of the joint (eta, nu)
 conditional built densely in the test.  The Metropolis sampler is checked
-against a grid-integrated posterior in a one-hyperparameter model.
+against a grid-integrated posterior in a one-hyperparameter model, its
+chains in worker processes against the serial run, and its ESS and split
+R-hat against AR(1) and shifted-chain cases.
 """
 
 import math
+import multiprocessing
+import os
 import pickle
 
 import numpy as np
@@ -15,13 +19,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse, stats
 
-from spatgev.errors import ConfigError
+from spatgev.errors import ConfigError, NumericalError
 from spatgev.gev import GevParams, gev_sample
 from spatgev.latent import (
     LatentStructure,
     McmcConfig,
     ParamModel,
     _collapsed_system,
+    _ess,
+    _split_rhat,
     build_structure,
     log_prior_theta,
     marginal_loglik,
@@ -338,11 +344,61 @@ class TestMcmc:
         assert np.all(np.isfinite(out.draws))
         assert out.accept_rate[0] > 0.0
 
+    def test_workers_equal_the_serial_run(self, monkeypatch):
+        # three chains on two workers against the serial loop, bit for bit
+        stacked, sites, rng = _stacked(8, 66)
+        st = build_structure(stacked, designs={}, spatial={"psi": True}, sites=sites)
+        cfg = McmcConfig(n_chains=3, n_iterations=300, n_kept=50, seed=13)
+        runs = []
+        for cores in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            runs.append(run_mcmc(st, cfg))
+            assert multiprocessing.active_children() == []
+        parallel, serial = runs
+        for key in ("draws", "by_chain", "rhat", "ess", "accept_rate"):
+            assert np.array_equal(getattr(parallel, key), getattr(serial, key)), key
+        assert (parallel.status, parallel.warnings) == (serial.status, serial.warnings)
+
+    def test_chain_start_failure_is_a_numerical_error(self, monkeypatch):
+        import spatgev.latent as latent
+
+        stacked, sites, rng = _stacked(8, 67)
+        st = build_structure(stacked, designs={}, spatial={})
+        monkeypatch.setattr(latent, "marginal_loglik", lambda structure, theta: -np.inf)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(NumericalError, match="starting point"):
+            run_mcmc(st, McmcConfig(n_chains=2, n_iterations=40, n_kept=10))
+        assert multiprocessing.active_children() == []
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             McmcConfig(n_chains=0).validate()
         with pytest.raises(ConfigError):
             McmcConfig(n_iterations=100, n_kept=100).validate()
+
+
+def _ar1(rho, n, seed):
+    """Stationary AR(1) path with unit innovations."""
+    e = np.random.default_rng(seed).standard_normal(n)
+    x = np.empty(n)
+    x[0] = e[0] / math.sqrt(1.0 - rho**2)
+    for t in range(1, n):
+        x[t] = rho * x[t - 1] + e[t]
+    return x
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("rho, seed", [(0.5, 1), (0.9, 2)])
+    def test_ess_of_ar1_matches_closed_form(self, rho, seed):
+        n = 20_000
+        chain = _ar1(rho, n, seed)[None, :, None]
+        assert_allclose(_ess(chain)[0], n * (1.0 - rho) / (1.0 + rho), rtol=0.15)
+
+    def test_split_rhat_separates_mixed_from_shifted_chains(self):
+        chains = np.random.default_rng(4).standard_normal((4, 1000, 2))
+        assert np.all(_split_rhat(chains) < 1.01)
+        chains[0] += 1.0  # one chain off by one sd
+        assert np.all(_split_rhat(chains) > 1.05)
 
 
 class TestSmoothStep:

@@ -6,6 +6,8 @@ Every test runs with derandomize=True, so hypothesis draws the same examples
 on every run and the suite stays reproducible.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,8 @@ from spatgev.gev import (
     quantile,
     reduced_variate,
     shape_inverse,
+    shape_inverse_deriv,
+    shape_prior_logdensity,
     trend_inverse,
 )
 from spatgev.site_fit import MIN_OBS_STATIONARY, MIN_OBS_TREND, fit_site
@@ -102,6 +106,34 @@ def test_links_stay_inside_open_intervals(v):
             assert XI_LO < xi < XI_HI
     for delta in (trend_inverse(v), trend_inverse(np.array([v]))[0]):
         assert -LINK.delta0 < delta < LINK.delta0
+
+
+@SETTINGS
+@given(phi=st.one_of(st.floats(), st.floats(-50.0, 50.0)))
+@example(phi=0.0)
+@example(phi=1e300)
+@example(phi=-1e300)
+def test_shape_prior_scalar_path_is_bit_equal_to_0d_array(phi):
+    scalar = shape_prior_logdensity(phi)
+    array = shape_prior_logdensity(np.asarray(phi))
+    assert type(scalar) is type(array) is float
+    assert np.float64(scalar).tobytes() == np.float64(array).tobytes()
+
+
+def test_large_shape_and_constant_series_raise_no_warning():
+    # exp((phi - a) / b) overflows at phi = 1e4; every value there is clamped
+    # or zeroed, so nothing may warn, and neither may a max step that walks there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi in (1e4, np.array([1e4, -1e4])):
+            shape_inverse(phi)
+            shape_inverse_deriv(phi)
+            shape_prior_logdensity(phi)
+        y, years = _record(True, 1e12, [0], 0)
+        try:
+            fit_site(y, years, trend=True)
+        except DataError:
+            pass
 
 
 @SETTINGS

@@ -6,6 +6,9 @@ and the spatial decision against field-dominated versus nugget-dominated
 data.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -250,3 +253,36 @@ class TestSelectAll:
         for res in out.values():
             assert res.score_no_spatial is None  # no mesh given
             assert isinstance(res.summary(), str)
+
+    def test_workers_equal_the_serial_run(self, monkeypatch):
+        # parameters on two workers against the serial loop, field included;
+        # the mesh's eigenproblem is solved once, before the fork
+        rng = np.random.default_rng(32)
+        sites = rng.uniform(0.0, 10.0, size=(14, 2))
+        years = np.arange(1970.0, 2012.0)
+        p = GevParams(mu=30.0, sigma=8.0, xi=0.1)
+        stacked = fit_all_sites([(years, gev_sample(p, years, years.size, rng))
+                                 for _ in range(14)], trend=False)
+        cov = {"x1": rng.normal(size=14), "x2": rng.normal(size=14)}
+        config = SelectionConfig(n_folds=4, grid_size=3)
+        calls = []
+        eigenvalues = spde.field_eigenvalues
+        monkeypatch.setattr(spde, "field_eigenvalues",
+                            lambda *args: calls.append(1) or eigenvalues(*args))
+        runs = []
+        for cores in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            runs.append(select_all(stacked, cov, mesh=build_mesh(sites), sites=sites,
+                                   config=config))
+            assert multiprocessing.active_children() == []
+        assert len(calls) == 2  # one mesh per run
+        parallel, serial = runs
+        assert list(parallel) == list(serial) == ["psi", "tau", "phi"]
+        for name, a in parallel.items():
+            b = serial[name]
+            assert (a.chosen, a.spatial, a.score, a.score_no_spatial) == \
+                (b.chosen, b.spatial, b.score, b.score_no_spatial)
+            assert all(np.array_equal(f, g) for f, g in zip(a.folds, b.folds))
+            for ra, rb in zip(a.path, b.path, strict=True):
+                assert (ra.added, ra.names, ra.score) == (rb.added, rb.names, rb.score)
+                assert np.array_equal(ra.theta, rb.theta)
