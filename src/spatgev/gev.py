@@ -14,6 +14,10 @@ quantile on broadcasting (loc, scale, xi) arrays; gev_log_pdf, gev_cdf and
 gev_quantile apply it to one site's GevParams.  site_fit.site_loglik takes w
 from it but sums -n*log(sigma) - (1+xi)*sum(w) - sum(exp(-w)) itself:
 summing logpdf rounds differently and would move the golden site fits.
+logpdf_derivatives gives the first and second derivatives of the same
+log-density in (z, xi), and shape_inverse_derivs, trend_inverse_derivs and
+the *_prior_derivs functions those of the links and priors, for the max
+step's Newton iterations.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "LinkedParams",
     "location_at",
     "reduced_variate",
+    "logpdf_derivatives",
     "logpdf",
     "cdf",
     "quantile",
@@ -40,16 +45,24 @@ __all__ = [
     "shape_forward",
     "shape_inverse",
     "shape_inverse_deriv",
+    "shape_inverse_derivs",
     "trend_forward",
     "trend_inverse",
+    "trend_inverse_derivs",
     "link_forward",
     "link_inverse",
     "shape_prior_logdensity",
+    "shape_prior_derivs",
     "trend_prior_logdensity",
+    "trend_prior_derivs",
 ]
 
 # Below this |xi| the kernel uses the Gumbel limit with Taylor corrections.
 XI_SWITCH = 1e-7
+# Below this |xi * z| logpdf_derivatives takes the xi-derivatives of w from
+# their power series: the closed forms lose about eps / (xi*z)^2 to
+# cancellation, and the series' first dropped term is (xi*z)^10.
+XZ_SWITCH = 1e-2
 
 # Half-open shape interval enforced by the link.
 XI_LO, XI_HI = -0.5, 0.5
@@ -163,6 +176,47 @@ def reduced_variate(z, xi):
     return w
 
 
+# Coefficients of L'(x) and L''(x), lowest power first, for
+# L(x) = log1p(x) / x = sum_k (-1)^k x^k / (k + 1), so that w = z * L(xi * z).
+_L1_SERIES = tuple((-1.0) ** k * k / (k + 1.0) for k in range(1, 11))
+_L2_SERIES = tuple((-1.0) ** k * k * (k - 1.0) / (k + 1.0) for k in range(2, 12))
+
+
+def logpdf_derivatives(z, xi: float):
+    """Derivatives of g(z, xi) = -(1 + xi)*w - exp(-w), w = reduced_variate(z, xi).
+
+    The log-density is -log(scale) + g.  Returns the arrays (g_z, g_xi,
+    g_zz, g_zxi, g_xixi) at each standardized z for one shape xi.  With
+    u = 1 + xi*z and x = xi*z, w_z = 1/u, w_zz = -xi/u^2, w_zxi = -z/u^2,
+    w_xi = z^2 L'(x) and w_xixi = z^3 L''(x) for L(x) = log1p(x)/x, whose
+    closed forms cancel near x = 0: there, |x| < XZ_SWITCH (which holds
+    for every z when xi = 0), the power series is used.  Outside the
+    support the values are not finite.
+    """
+    z = np.asarray(z, dtype=float)
+    w = reduced_variate(z, xi)
+    x = xi * z
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_u = 1.0 / (1.0 + x)
+        log_u = np.log1p(x)
+        l1 = (x * inv_u - log_u) / (x * x)
+        l2 = (2.0 * log_u - 2.0 * x * inv_u - (x * inv_u) ** 2) / (x * x * x)
+        near = np.abs(x) < XZ_SWITCH
+        if near.any():
+            l1[near] = np.polynomial.polynomial.polyval(x[near], _L1_SERIES)
+            l2[near] = np.polynomial.polynomial.polyval(x[near], _L2_SERIES)
+        w_xi = z * z * l1
+        w_xixi = z * z * z * l2
+        e = np.exp(-w)
+        a = e - 1.0 - xi
+        g_z = inv_u * a
+        g_xi = w_xi * a - w
+        g_zz = -xi * inv_u * inv_u * a - e * inv_u * inv_u
+        g_zxi = -z * inv_u * inv_u * a - inv_u * (e * w_xi + 1.0)
+        g_xixi = w_xixi * a - e * w_xi * w_xi - 2.0 * w_xi
+    return g_z, g_xi, g_zz, g_zxi, g_xixi
+
+
 def logpdf(y, loc, scale, xi):
     """GEV log-density; -inf outside the support."""
     w = reduced_variate((y - loc) / scale, xi)
@@ -239,6 +293,12 @@ def gev_sample(p: GevParams, t, n: int, rng: np.random.Generator, t0: float | No
 # divide and exp from overflowing at large |phi|.
 _PHI_LO, _PHI_HI = _A_PHI - 800.0 * _B_PHI, _A_PHI + 700.0 * _B_PHI
 
+# trend_inverse takes tanh(gamma / delta0) at gamma held inside
+# [-_GAMMA_HI, _GAMMA_HI].  tanh is already +-1 in float64 from |gamma| =
+# 20 delta0 on, so no value moves; it keeps the divide from overflowing at
+# |gamma| near the largest float.
+_GAMMA_HI = 800.0 * LINK.delta0
+
 # One ulp inside the ends of the open xi and delta intervals.
 _XI_IN = float(np.nextafter(XI_LO, 0.0)), float(np.nextafter(XI_HI, 0.0))
 _DELTA_IN = float(np.nextafter(LINK.delta0, 0.0))
@@ -290,6 +350,39 @@ def shape_inverse_deriv(phi):
     return out if out.ndim else float(out)
 
 
+def _shape_terms(phi):
+    """(xi + 1/2, 1/2 - xi, h', (log h')', (log h')'') at xi = h(phi).
+
+    With e = exp((phi - a)/b), q = 1 - exp(-e), r = e*exp(-e)/q and
+    k = 1/c_phi: xi + 1/2 = q^k, h' = k q^k r / b, (log h')' =
+    ((k - 1) r + 1 - e) / b and (log h')'' = ((k - 1) r (1 - e/q) - e) / b^2.
+    Not clamped: 1/2 - xi is taken as -expm1(k log q), which keeps its
+    digits as xi nears 1/2.
+    """
+    k = 1.0 / LINK.c_phi
+    e = _shape_e(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -np.expm1(-e)
+        k_log_q = k * np.log(q)
+        r = e * np.exp(-e) / q
+        xi_plus = np.exp(k_log_q)
+        h1 = k * xi_plus * r / _B_PHI
+        m1 = ((k - 1.0) * r + 1.0 - e) / _B_PHI
+        m2 = ((k - 1.0) * r * (1.0 - e / q) - e) / _B_PHI**2
+    return xi_plus, -np.expm1(k_log_q), h1, m1, m2
+
+
+def shape_inverse_derivs(phi):
+    """(h', h'') of the inverse shape map xi = h(phi), in closed form.
+
+    h''' enters only the shape prior's second derivative, through
+    (log h')'' = h'''/h' - (h''/h')^2, which shape_prior_derivs takes from
+    _shape_terms directly.
+    """
+    _, _, h1, m1, _ = _shape_terms(phi)
+    return h1, h1 * m1
+
+
 def trend_forward(delta):
     """Map the trend fraction in (-delta0, delta0) to an unconstrained value."""
     delta = np.asarray(delta, dtype=float)
@@ -306,9 +399,32 @@ def trend_inverse(gamma):
     Clamped one ulp inside +-delta0, where tanh saturates, so finite gamma
     always yields delta in the open interval (-delta0, delta0).
     """
-    gamma = np.asarray(gamma, dtype=float)
-    out = LINK.delta0 * np.tanh(gamma / LINK.delta0)
+    out = LINK.delta0 * np.tanh(_trend_x(gamma))
     return _clamp(out, -_DELTA_IN, _DELTA_IN)
+
+
+def _trend_x(gamma):
+    """gamma / delta0 at gamma held inside [-_GAMMA_HI, _GAMMA_HI].
+
+    A float gamma is worked on as a float64 scalar, with the same bits as
+    a 0-d array, as in _shape_e.
+    """
+    if isinstance(gamma, float):
+        return np.float64(min(max(gamma, -_GAMMA_HI), _GAMMA_HI)) / LINK.delta0
+    return np.clip(np.asarray(gamma, dtype=float), -_GAMMA_HI, _GAMMA_HI) / LINK.delta0
+
+
+def trend_inverse_derivs(gamma):
+    """(delta', delta'') of the inverse trend map, in closed form.
+
+    delta' = sech(x)^2 at x = gamma / delta0, written as
+    4 exp(-2|x|) / (1 + exp(-2|x|))^2, which cannot overflow, and
+    delta'' = -2 tanh(x) delta' / delta0.
+    """
+    x = _trend_x(gamma)
+    v = np.exp(-2.0 * np.abs(x))
+    d1 = 4.0 * v / (1.0 + v) ** 2
+    return d1, -2.0 * np.tanh(x) * d1 / LINK.delta0
 
 
 def link_forward(p: GevParams) -> LinkedParams:
@@ -372,9 +488,30 @@ def _shape_prior_scalar(phi: float) -> float:
     return float(out) if math.isfinite(out) else -math.inf
 
 
+def shape_prior_derivs(phi):
+    """First and second derivatives of shape_prior_logdensity, in closed form.
+
+    The log prior is log 140 + 3 log(xi + 1/2) + 3 log(1/2 - xi) + log h'(phi).
+    """
+    xi_plus, xi_minus, h1, m1, m2 = _shape_terms(phi)
+    d1 = 3.0 * h1 * (1.0 / xi_plus - 1.0 / xi_minus) + m1
+    d2 = (3.0 * h1 * m1 * (1.0 / xi_plus - 1.0 / xi_minus)
+          - 3.0 * h1 * h1 * (1.0 / xi_plus**2 + 1.0 / xi_minus**2) + m2)
+    return d1, d2
+
+
 def trend_prior_logdensity(gamma):
-    """Log prior of the transformed trend: Gaussian with sd 0.5 * delta0."""
+    """Log prior of the transformed trend: Gaussian with sd 0.5 * delta0.
+
+    -inf where (gamma / sd)^2 passes the largest float, without a warning.
+    """
     gamma = np.asarray(gamma, dtype=float)
     sd = _TREND_PRIOR_SD
-    out = -0.5 * math.log(2.0 * math.pi) - math.log(sd) - 0.5 * (gamma / sd) ** 2
+    with np.errstate(over="ignore"):
+        out = -0.5 * math.log(2.0 * math.pi) - math.log(sd) - 0.5 * (gamma / sd) ** 2
     return out if out.ndim else float(out)
+
+
+def trend_prior_derivs(gamma):
+    """First and second derivatives of trend_prior_logdensity."""
+    return -gamma / _TREND_PRIOR_SD**2, -1.0 / _TREND_PRIOR_SD**2

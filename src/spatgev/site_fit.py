@@ -6,9 +6,12 @@ log-likelihood (from the kernel in gev.py) plus the site-level priors on the tra
 result is a Gaussian pseudo-observation for the second stage: the link-space
 mode together with the negative Hessian there as its precision.
 
-Optimization is Nelder-Mead from moment-based starting values followed by a
-Newton polish with finite-difference derivatives; non-positive-definite
-Hessians are repaired by eigenvalue clipping and the repair is flagged.
+The gradient and Hessian of that objective are exact: site_loglik_derivatives
+chains gev.logpdf_derivatives through the link maps and adds the priors'
+derivatives.  fit_site runs a damped Newton on them from moment-based
+starting values; a Hessian that is not negative definite has its eigenvalues
+floored in absolute value for the step, and for the precision it is repaired
+by eigenvalue clipping and the repair is flagged.
 """
 
 from __future__ import annotations
@@ -22,10 +25,15 @@ from ._workers import run_indexed
 from .errors import DataError
 from .gev import (
     LINK,
-    shape_inverse,
+    logpdf_derivatives,
     reduced_variate,
+    shape_inverse,
+    shape_inverse_derivs,
+    shape_prior_derivs,
     shape_prior_logdensity,
     trend_inverse,
+    trend_inverse_derivs,
+    trend_prior_derivs,
     trend_prior_logdensity,
 )
 
@@ -33,6 +41,7 @@ __all__ = [
     "SiteFit",
     "StackedFits",
     "site_loglik",
+    "site_loglik_derivatives",
     "fit_site",
     "fit_all_sites",
     "stack_fits",
@@ -43,10 +52,12 @@ __all__ = [
 MIN_OBS_TREND = 10
 MIN_OBS_STATIONARY = 5
 GRAD_TOL = 1e-6
-HESS_REL_STEP = 1e-4
-GRAD_REL_STEP = 1e-6
 EIG_FLOOR = 1e-8
+EIG_REL_FLOOR = 1e-12
 MAX_RESTARTS = 5
+NEWTON_ITERATIONS = 60
+MAX_STEP = 1.0  # largest link-space move of one Newton step, per coordinate
+MAX_HALVINGS = 30
 PARAM_NAMES = ("psi", "tau", "phi", "gamma")
 
 
@@ -81,7 +92,8 @@ def site_loglik(z: np.ndarray, y: np.ndarray, years: np.ndarray, t0: float = LIN
     else:
         s = (y - mu) / sigma
     w = reduced_variate(s, xi)
-    ll = -n * math.log(sigma) - (1.0 + xi) * float(w.sum()) - float(np.exp(-w).sum())
+    with np.errstate(over="ignore"):  # exp(-w) = inf: the sum is -inf
+        ll = -n * math.log(sigma) - (1.0 + xi) * float(w.sum()) - float(np.exp(-w).sum())
     if not np.isfinite(ll):
         return -np.inf
     if include_priors:
@@ -89,6 +101,71 @@ def site_loglik(z: np.ndarray, y: np.ndarray, years: np.ndarray, t0: float = LIN
         if trend:
             ll += float(trend_prior_logdensity(gamma))
     return ll
+
+
+def site_loglik_derivatives(z: np.ndarray, y: np.ndarray, years: np.ndarray,
+                            t0: float = LINK.t0,
+                            include_priors: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient and Hessian of site_loglik at z, where it is finite.
+
+    Each observation adds -(psi + tau) + g(s, xi) with s = (y - mu_t)/sigma
+    = Y - m c, where Y = y/sigma, m = exp(-tau), c = 1 + delta (t - t0) and
+    xi = h(phi); g and its derivatives come from gev.logpdf_derivatives.
+    The derivatives of s are -Y, -s and -m (t - t0) delta' in (psi, tau,
+    gamma); of the second ones only d2s/dpsi2 = d2s/dpsi dtau = Y,
+    d2s/dtau2 = s, d2s/dtau dgamma = m (t - t0) delta' and
+    d2s/dgamma2 = -m (t - t0) delta'' are nonzero.  The Hessian is
+    symmetric bit for bit.
+    """
+    z = np.asarray(z, dtype=float)
+    p = z.shape[0]
+    trend = p == 4
+    psi, tau, phi = float(z[0]), float(z[1]), float(z[2])
+    sigma = math.exp(psi) * math.exp(tau)
+    m = math.exp(-tau)
+    xi = float(shape_inverse(phi))
+    h1, h2 = shape_inverse_derivs(phi)
+    big_y = y / sigma
+    ds = np.zeros((p, y.shape[0]))  # ds[a] = d s / d z[a]
+    if trend:
+        dt = years - t0
+        d1, d2 = trend_inverse_derivs(float(z[3]))
+        s = big_y - m * (1.0 + float(trend_inverse(float(z[3]))) * dt)
+        ds[3] = -m * d1 * dt
+    else:
+        s = big_y - m
+    ds[0] = -big_y
+    ds[1] = -s
+    g_s, g_xi, g_ss, g_sxi, g_xixi = logpdf_derivatives(s, xi)
+    dxi = np.zeros(p)  # d xi / d z
+    dxi[2] = h1
+    sum_g_xi = float(g_xi.sum())
+
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: the caller checks
+        grad = ds @ g_s + dxi * sum_g_xi
+        cross = np.outer(ds @ g_sxi, dxi)
+        hess = (ds * g_ss) @ ds.T + cross + cross.T + np.outer(dxi, dxi) * float(g_xixi.sum())
+        gs_y, gs_s = float(g_s @ big_y), float(g_s @ s)
+    grad[:2] -= y.shape[0]
+    hess[0, 0] += gs_y
+    hess[0, 1] += gs_y
+    hess[1, 0] += gs_y
+    hess[1, 1] += gs_s
+    hess[2, 2] += h2 * sum_g_xi
+    if trend:
+        gs_dt = float(g_s @ dt)
+        hess[1, 3] += m * d1 * gs_dt
+        hess[3, 1] += m * d1 * gs_dt
+        hess[3, 3] -= m * d2 * gs_dt
+    if include_priors:
+        p1, p2 = shape_prior_derivs(phi)
+        grad[2] += p1
+        hess[2, 2] += p2
+        if trend:
+            p1, p2 = trend_prior_derivs(float(z[3]))
+            grad[3] += p1
+            hess[3, 3] += p2
+    return grad, 0.5 * (hess + hess.T)
 
 
 @dataclass
@@ -125,50 +202,72 @@ def _moment_init(y: np.ndarray, trend: bool) -> np.ndarray:
     return np.asarray(z0)
 
 
-def _fd_gradient(f, x: np.ndarray) -> np.ndarray:
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = GRAD_REL_STEP * max(abs(x[i]), 1.0)
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
-
-
-def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
-    n = x.size
-    h = np.array([HESS_REL_STEP * max(abs(x[i]), 1.0) for i in range(n)])
-    H = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        xp = x.copy(); xp[i] += h[i]
-        xm = x.copy(); xm[i] -= h[i]
-        H[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / h[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            xpp = x.copy(); xpp[[i, j]] += [h[i], h[j]]
-            xpm = x.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
-            xmp = x.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
-            xmm = x.copy(); xmm[[i, j]] -= [h[i], h[j]]
-            H[i, j] = H[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4.0 * h[i] * h[j])
-    return H
-
-
 def _repair_pd(M: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Clip eigenvalues below EIG_FLOOR; returns (repaired, was_repaired)."""
+    """Clip eigenvalues below the floor; returns (repaired, was_repaired).
+
+    The floor is EIG_FLOOR, or EIG_REL_FLOOR times the largest eigenvalue
+    when that is higher: rebuilding the matrix from its eigenvectors moves
+    each eigenvalue by rounding of order 1e-16 times the largest, so a
+    lower floor would not keep the result positive definite.
+    """
     w, V = np.linalg.eigh(M)
-    if w.min() >= EIG_FLOOR:
+    floor = max(EIG_FLOOR, EIG_REL_FLOOR * float(w.max()))
+    if w.min() >= floor:
         return M, False
-    w = np.maximum(w, EIG_FLOOR)
-    return (V * w) @ V.T, True
+    R = (V * np.maximum(w, floor)) @ V.T
+    return 0.5 * (R + R.T), True
+
+
+def _newton(f, derivs, x: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Damped Newton ascent of f from x; returns (x, f(x), converged).
+
+    The step solves with -H after its eigenvalues are floored in absolute
+    value at EIG_FLOOR, so it climbs f even where H is not negative
+    definite.  It is cut to MAX_STEP per coordinate and halved until f does
+    not fall.  Converged means max|gradient| < GRAD_TOL; a point where f or
+    its derivatives are not finite, or where halving finds no rise, stops
+    the run unconverged.
+    """
+    fx = f(x)
+    if not np.isfinite(fx):
+        return x, fx, False
+    for _ in range(NEWTON_ITERATIONS):
+        g, H = derivs(x)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+            return x, fx, False
+        if np.abs(g).max() < GRAD_TOL:
+            return x, fx, True
+        lam, V = np.linalg.eigh(-H)
+        step = V @ ((V.T @ g) / np.maximum(np.abs(lam), EIG_FLOOR))
+        step *= min(1.0, MAX_STEP / np.abs(step).max())
+        # a rise below the rounding of f cannot be seen: near the mode take
+        # any step that does not fall by more than that, the gradient decides
+        tiny = 1e-12 * (1.0 + abs(fx))
+        flat = float(g @ step) < tiny
+        for _ in range(MAX_HALVINGS):
+            x_new = x + step
+            f_new = f(x_new)
+            if f_new >= fx or (flat and f_new >= fx - tiny):
+                break
+            step *= 0.5
+        else:
+            return x, fx, False
+        x, fx = x_new, f_new
+    return x, fx, False
 
 
 def fit_site(y: np.ndarray, years: np.ndarray, trend: bool = True, t0: float = LINK.t0,
              include_priors: bool = True) -> SiteFit:
     """Maximize the generalized likelihood for one site's record.
 
-    Records shorter than MIN_OBS_TREND (MIN_OBS_STATIONARY without trend)
-    raise DataError.
+    A damped Newton on the exact gradient and Hessian
+    (site_loglik_derivatives) runs from the moment start; while it ends
+    unconverged it is run again, up to MAX_RESTARTS times, from the moment
+    start perturbed by N(0, 0.1^2) draws of a fixed-seed generator.  The
+    fit is the point of highest site_loglik found, its loglik is
+    site_loglik there and its precision the negative Hessian there,
+    repaired to positive definite when it is not.  Records shorter than
+    MIN_OBS_TREND (MIN_OBS_STATIONARY without trend) raise DataError.
     """
     y = np.asarray(y, dtype=float)
     years = np.asarray(years, dtype=float)
@@ -180,66 +279,35 @@ def fit_site(y: np.ndarray, years: np.ndarray, trend: bool = True, t0: float = L
     if y.size < n_min:
         raise DataError(f"need at least {n_min} observations, got {y.size}")
 
-    from scipy.optimize import minimize
+    def f(z):
+        return site_loglik(z, y, years, t0=t0, include_priors=include_priors)
 
-    def negf(z):
-        return -site_loglik(z, y, years, t0=t0, include_priors=include_priors)
+    def derivs(z):
+        return site_loglik_derivatives(z, y, years, t0=t0, include_priors=include_priors)
 
     z0 = _moment_init(y, trend)
     rng = np.random.default_rng(1234)
-    best = None
-    converged = False
+    best, best_f = None, -np.inf
     n_restarts = 0
-    start = z0.copy()
-    for attempt in range(MAX_RESTARTS + 1):
-        res = minimize(negf, start, method="Nelder-Mead",
-                       options=dict(maxiter=2000, xatol=1e-6, fatol=1e-9))
-        x = res.x
-        # Newton polish with finite differences
-        for _ in range(60):
-            g = _fd_gradient(negf, x)
-            if not np.all(np.isfinite(g)):
-                break  # FD stencil touches the -inf region; restart
-            if np.abs(g).max() < GRAD_TOL:
-                converged = True
-                break
-            H = _fd_hessian(negf, x)
-            if not np.all(np.isfinite(H)):
-                break
-            H, _ = _repair_pd(H)
-            step = np.linalg.solve(H, g)
-            # a step below float resolution of f cannot be validated by a
-            # line search: take it as-is, the gradient check decides
-            if np.abs(step).max() < 1e-8 * (1.0 + np.abs(x).max()):
-                x = x - step
-                continue
-            fx = negf(x)
-            alpha = 1.0
-            for _ in range(25):
-                x_new = x - alpha * step
-                if negf(x_new) < fx:
-                    break
-                alpha *= 0.5
-            else:
-                break
-            x = x_new
-        if best is None or negf(x) < negf(best):
-            best = x
+    start = z0
+    for _ in range(MAX_RESTARTS + 1):
+        x, fx, converged = _newton(f, derivs, start)
+        if best is None or fx > best_f:
+            best, best_f = x, fx
         if converged:
             break
         n_restarts += 1
         start = z0 + rng.normal(scale=0.1, size=z0.size)
 
-    x = best
-    H = _fd_hessian(negf, x)
+    _, H = derivs(best)
     if not np.all(np.isfinite(H)):
-        H = np.eye(x.size) * EIG_FLOOR
+        H = -np.eye(best.size) * EIG_FLOOR
         converged = False
-    precision, repaired = _repair_pd(0.5 * (H + H.T))
+    precision, repaired = _repair_pd(-H)
     return SiteFit(
-        eta_hat=x,
+        eta_hat=best,
         precision=precision,
-        loglik=-negf(x),
+        loglik=best_f,
         n_obs=int(y.size),
         converged=converged,
         hessian_repaired=repaired,

@@ -463,3 +463,20 @@ def test_import_leaves_out_unused_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+    # nor does the max step load scipy.optimize; one core keeps the fits in
+    # the process that is checked
+    code = "\n".join([
+        "import os, sys",
+        "import numpy as np",
+        "from spatgev.site_fit import fit_all_sites",
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+        "rng = np.random.default_rng(5)",
+        "years = np.arange(1960.0, 2000.0)",
+        "for trend in (False, True):",
+        "    fit_all_sites([(years, 30.0 + 8.0 * rng.gumbel(size=40)) for _ in range(3)],",
+        "                  trend=trend)",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,7 @@ Every test runs with derandomize=True, so hypothesis draws the same examples
 on every run and the suite stays reproducible.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -31,8 +32,10 @@ from spatgev.gev import (
     shape_inverse_deriv,
     shape_prior_logdensity,
     trend_inverse,
+    trend_inverse_derivs,
+    trend_prior_logdensity,
 )
-from spatgev.site_fit import MIN_OBS_STATIONARY, MIN_OBS_TREND, fit_site
+from spatgev.site_fit import MIN_OBS_STATIONARY, MIN_OBS_TREND, fit_site, site_loglik
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -136,6 +139,28 @@ def test_large_shape_and_constant_series_raise_no_warning():
             pass
 
 
+def test_trend_map_and_prior_hold_gamma_without_warnings():
+    # gamma / delta0 overflowed near the largest float; the values must stay
+    # those of the unguarded formulas, bit for bit, and nothing may warn
+    pos = [0.0, 1e-3, 0.05, 1.0, 1e10, 1e154, 1e200, 1e300, 1e306, 1e308, np.inf]
+    gammas = np.array(pos + [-g for g in pos[1:]] + [np.nan])
+    d0, sd = LINK.delta0, 0.5 * LINK.delta0
+    edge = np.nextafter(d0, 0.0)
+    with np.errstate(all="ignore"):
+        ref_delta = np.clip(d0 * np.tanh(gammas / d0), -edge, edge)
+        ref_prior = -0.5 * math.log(2.0 * math.pi) - math.log(sd) - 0.5 * (gammas / sd) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(trend_inverse(gammas), ref_delta, equal_nan=True)
+        assert np.array_equal(trend_prior_logdensity(gammas), ref_prior, equal_nan=True)
+        for k, g in enumerate(gammas):
+            for arg in (float(g), np.asarray(g)):
+                assert np.float64(trend_inverse(arg)).tobytes() == ref_delta[k].tobytes()
+                assert np.float64(trend_prior_logdensity(arg)).tobytes() == ref_prior[k].tobytes()
+        d1, d2 = trend_inverse_derivs(gammas[:-1])
+        assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
+
+
 @SETTINGS
 @given(data=st.data(), n_sites=st.integers(1, 4), n_years=st.integers(1, 12))
 def test_rank_reorder_preserves_each_site_multiset(data, n_sites, n_years):
@@ -153,7 +178,7 @@ def _record(trend, magnitude, levels, extra):
     return y, 1950.0 + np.arange(n, dtype=float)
 
 
-@settings(derandomize=True, deadline=None, max_examples=6)
+@settings(derandomize=True, deadline=None, max_examples=30)
 @given(trend=st.booleans(),
        magnitude=st.sampled_from([1e-8, 1.0, 1e12]),
        levels=st.lists(st.integers(0, 4), min_size=1, max_size=6),
@@ -161,6 +186,7 @@ def _record(trend, magnitude, levels, extra):
 @example(trend=True, magnitude=1e12, levels=[0], extra=0)  # constant series
 @example(trend=False, magnitude=1e-8, levels=[0], extra=0)
 @example(trend=False, magnitude=1e-8, levels=[0, 1], extra=0)  # two tied values
+@example(trend=True, magnitude=1.0, levels=[0, 1, 3], extra=0)  # minimum n with trend
 def test_fit_site_gives_a_typed_error_or_a_finite_fit(trend, magnitude, levels, extra):
     y, years = _record(trend, magnitude, levels, extra)
     try:
@@ -170,6 +196,12 @@ def test_fit_site_gives_a_typed_error_or_a_finite_fit(trend, magnitude, levels, 
     assert np.all(np.isfinite(fit.eta_hat))
     assert np.all(np.isfinite(fit.precision))
     assert np.isfinite(fit.loglik)
+    # the reported loglik is the objective at the reported mode, bit for bit
+    assert np.float64(fit.loglik).tobytes() == \
+        np.float64(site_loglik(fit.eta_hat, y, years)).tobytes()
+    # the precision is symmetric positive definite
+    assert np.array_equal(fit.precision, fit.precision.T)
+    assert np.linalg.eigvalsh(fit.precision).min() > 0.0
 
 
 @SETTINGS
