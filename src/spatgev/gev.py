@@ -15,9 +15,9 @@ gev_quantile apply it to one site's GevParams.  site_fit.site_loglik takes w
 from it but sums -n*log(sigma) - (1+xi)*sum(w) - sum(exp(-w)) itself:
 summing logpdf rounds differently and would move the golden site fits.
 logpdf_derivatives gives the first and second derivatives of the same
-log-density in (z, xi), and shape_inverse_derivs, trend_inverse_derivs and
-the *_prior_derivs functions those of the links and priors, for the max
-step's Newton iterations.
+log-density in (z, xi), and shape_derivs, trend_inverse_derivs and
+trend_prior_derivs those of the links and priors, for the max step's
+Newton iterations.
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ __all__ = [
     "shape_forward",
     "shape_inverse",
     "shape_inverse_deriv",
-    "shape_inverse_derivs",
+    "shape_derivs",
     "trend_forward",
     "trend_inverse",
     "trend_inverse_derivs",
     "link_forward",
     "link_inverse",
     "shape_prior_logdensity",
-    "shape_prior_derivs",
     "trend_prior_logdensity",
     "trend_prior_derivs",
 ]
@@ -350,14 +349,17 @@ def shape_inverse_deriv(phi):
     return out if out.ndim else float(out)
 
 
-def _shape_terms(phi):
-    """(xi + 1/2, 1/2 - xi, h', (log h')', (log h')'') at xi = h(phi).
+def shape_derivs(phi):
+    """(h', h'', p', p'') at phi, in closed form, from one evaluation.
 
-    With e = exp((phi - a)/b), q = 1 - exp(-e), r = e*exp(-e)/q and
-    k = 1/c_phi: xi + 1/2 = q^k, h' = k q^k r / b, (log h')' =
-    ((k - 1) r + 1 - e) / b and (log h')'' = ((k - 1) r (1 - e/q) - e) / b^2.
-    Not clamped: 1/2 - xi is taken as -expm1(k log q), which keeps its
-    digits as xi nears 1/2.
+    h' and h'' are the derivatives of the inverse shape map xi = h(phi),
+    p' and p'' those of shape_prior_logdensity, which is
+    log 140 + 3 log(xi + 1/2) + 3 log(1/2 - xi) + log h'(phi).  With
+    e = exp((phi - a)/b), q = 1 - exp(-e), r = e*exp(-e)/q and k = 1/c_phi:
+    xi + 1/2 = q^k, h' = k q^k r / b, (log h')' = ((k - 1) r + 1 - e) / b
+    and (log h')'' = ((k - 1) r (1 - e/q) - e) / b^2, which is how h'''
+    enters p''.  Not clamped: 1/2 - xi is taken as -expm1(k log q), which
+    keeps its digits as xi nears 1/2.
     """
     k = 1.0 / LINK.c_phi
     e = _shape_e(phi)
@@ -365,22 +367,14 @@ def _shape_terms(phi):
         q = -np.expm1(-e)
         k_log_q = k * np.log(q)
         r = e * np.exp(-e) / q
-        xi_plus = np.exp(k_log_q)
+        xi_plus, xi_minus = np.exp(k_log_q), -np.expm1(k_log_q)
         h1 = k * xi_plus * r / _B_PHI
         m1 = ((k - 1.0) * r + 1.0 - e) / _B_PHI
         m2 = ((k - 1.0) * r * (1.0 - e / q) - e) / _B_PHI**2
-    return xi_plus, -np.expm1(k_log_q), h1, m1, m2
-
-
-def shape_inverse_derivs(phi):
-    """(h', h'') of the inverse shape map xi = h(phi), in closed form.
-
-    h''' enters only the shape prior's second derivative, through
-    (log h')'' = h'''/h' - (h''/h')^2, which shape_prior_derivs takes from
-    _shape_terms directly.
-    """
-    _, _, h1, m1, _ = _shape_terms(phi)
-    return h1, h1 * m1
+        p1 = 3.0 * h1 * (1.0 / xi_plus - 1.0 / xi_minus) + m1
+        p2 = (3.0 * h1 * m1 * (1.0 / xi_plus - 1.0 / xi_minus)
+              - 3.0 * h1 * h1 * (1.0 / xi_plus**2 + 1.0 / xi_minus**2) + m2)
+    return h1, h1 * m1, p1, p2
 
 
 def trend_forward(delta):
@@ -404,13 +398,7 @@ def trend_inverse(gamma):
 
 
 def _trend_x(gamma):
-    """gamma / delta0 at gamma held inside [-_GAMMA_HI, _GAMMA_HI].
-
-    A float gamma is worked on as a float64 scalar, with the same bits as
-    a 0-d array, as in _shape_e.
-    """
-    if isinstance(gamma, float):
-        return np.float64(min(max(gamma, -_GAMMA_HI), _GAMMA_HI)) / LINK.delta0
+    """gamma / delta0 at gamma held inside [-_GAMMA_HI, _GAMMA_HI]."""
     return np.clip(np.asarray(gamma, dtype=float), -_GAMMA_HI, _GAMMA_HI) / LINK.delta0
 
 
@@ -486,18 +474,6 @@ def _shape_prior_scalar(phi: float) -> float:
         return -math.inf
     out = _BETA_LOG_NORM + 3.0 * np.log(xi + 0.5) + 3.0 * np.log(0.5 - xi) + np.log(jac)
     return float(out) if math.isfinite(out) else -math.inf
-
-
-def shape_prior_derivs(phi):
-    """First and second derivatives of shape_prior_logdensity, in closed form.
-
-    The log prior is log 140 + 3 log(xi + 1/2) + 3 log(1/2 - xi) + log h'(phi).
-    """
-    xi_plus, xi_minus, h1, m1, m2 = _shape_terms(phi)
-    d1 = 3.0 * h1 * (1.0 / xi_plus - 1.0 / xi_minus) + m1
-    d2 = (3.0 * h1 * m1 * (1.0 / xi_plus - 1.0 / xi_minus)
-          - 3.0 * h1 * h1 * (1.0 / xi_plus**2 + 1.0 / xi_minus**2) + m2)
-    return d1, d2
 
 
 def trend_prior_logdensity(gamma):

@@ -27,9 +27,8 @@ from .gev import (
     LINK,
     logpdf_derivatives,
     reduced_variate,
+    shape_derivs,
     shape_inverse,
-    shape_inverse_derivs,
-    shape_prior_derivs,
     shape_prior_logdensity,
     trend_inverse,
     trend_inverse_derivs,
@@ -53,7 +52,6 @@ MIN_OBS_TREND = 10
 MIN_OBS_STATIONARY = 5
 GRAD_TOL = 1e-6
 EIG_FLOOR = 1e-8
-EIG_REL_FLOOR = 1e-12
 MAX_RESTARTS = 5
 NEWTON_ITERATIONS = 60
 MAX_STEP = 1.0  # largest link-space move of one Newton step, per coordinate
@@ -124,7 +122,7 @@ def site_loglik_derivatives(z: np.ndarray, y: np.ndarray, years: np.ndarray,
     sigma = math.exp(psi) * math.exp(tau)
     m = math.exp(-tau)
     xi = float(shape_inverse(phi))
-    h1, h2 = shape_inverse_derivs(phi)
+    h1, h2, p1, p2 = shape_derivs(phi)
     big_y = y / sigma
     ds = np.zeros((p, y.shape[0]))  # ds[a] = d s / d z[a]
     if trend:
@@ -158,7 +156,6 @@ def site_loglik_derivatives(z: np.ndarray, y: np.ndarray, years: np.ndarray,
         hess[3, 1] += m * d1 * gs_dt
         hess[3, 3] -= m * d2 * gs_dt
     if include_priors:
-        p1, p2 = shape_prior_derivs(phi)
         grad[2] += p1
         hess[2, 2] += p2
         if trend:
@@ -203,18 +200,11 @@ def _moment_init(y: np.ndarray, trend: bool) -> np.ndarray:
 
 
 def _repair_pd(M: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Clip eigenvalues below the floor; returns (repaired, was_repaired).
-
-    The floor is EIG_FLOOR, or EIG_REL_FLOOR times the largest eigenvalue
-    when that is higher: rebuilding the matrix from its eigenvectors moves
-    each eigenvalue by rounding of order 1e-16 times the largest, so a
-    lower floor would not keep the result positive definite.
-    """
+    """Clip eigenvalues below EIG_FLOOR; returns (repaired, was_repaired)."""
     w, V = np.linalg.eigh(M)
-    floor = max(EIG_FLOOR, EIG_REL_FLOOR * float(w.max()))
-    if w.min() >= floor:
+    if w.min() >= EIG_FLOOR:
         return M, False
-    R = (V * np.maximum(w, floor)) @ V.T
+    R = (V * np.maximum(w, EIG_FLOOR)) @ V.T
     return 0.5 * (R + R.T), True
 
 
@@ -265,8 +255,9 @@ def fit_site(y: np.ndarray, years: np.ndarray, trend: bool = True, t0: float = L
     unconverged it is run again, up to MAX_RESTARTS times, from the moment
     start perturbed by N(0, 0.1^2) draws of a fixed-seed generator.  The
     fit is the point of highest site_loglik found, its loglik is
-    site_loglik there and its precision the negative Hessian there,
-    repaired to positive definite when it is not.  Records shorter than
+    site_loglik there.  Its precision is the negative Hessian there,
+    repaired to positive definite when it is not, if that run converged,
+    and EIG_FLOOR times the identity if it did not.  Records shorter than
     MIN_OBS_TREND (MIN_OBS_STATIONARY without trend) raise DataError.
     """
     y = np.asarray(y, dtype=float)
@@ -287,23 +278,25 @@ def fit_site(y: np.ndarray, years: np.ndarray, trend: bool = True, t0: float = L
 
     z0 = _moment_init(y, trend)
     rng = np.random.default_rng(1234)
-    best, best_f = None, -np.inf
+    best, best_f, converged = None, -np.inf, False
     n_restarts = 0
     start = z0
     for _ in range(MAX_RESTARTS + 1):
-        x, fx, converged = _newton(f, derivs, start)
+        x, fx, ok = _newton(f, derivs, start)
         if best is None or fx > best_f:
-            best, best_f = x, fx
-        if converged:
+            best, best_f, converged = x, fx, ok
+        if ok:
             break
         n_restarts += 1
         start = z0 + rng.normal(scale=0.1, size=z0.size)
 
-    _, H = derivs(best)
-    if not np.all(np.isfinite(H)):
-        H = -np.eye(best.size) * EIG_FLOOR
-        converged = False
-    precision, repaired = _repair_pd(-H)
+    if converged:
+        precision, repaired = _repair_pd(-derivs(best)[1])
+    else:
+        # no mode was found (a record with no spread has none): the
+        # curvature where the search stopped says nothing, so the site
+        # gets a flat precision and carries no weight
+        precision, repaired = np.eye(best.size) * EIG_FLOOR, False
     return SiteFit(
         eta_hat=best,
         precision=precision,

@@ -32,6 +32,7 @@ from spatgev.gev import (
     trend_inverse,
 )
 from spatgev.site_fit import (
+    EIG_FLOOR,
     SiteFit,
     fit_all_sites,
     fit_site,
@@ -188,6 +189,14 @@ class TestFitSite:
         y[::7] = np.nan
         fit = fit_site(y, years, trend=True)
         assert fit.n_obs == int(np.isfinite(y).sum())
+
+    def test_record_without_a_mode_carries_no_weight(self):
+        # a constant series has no maximum: the fit ends unconverged and its
+        # pseudo-observation must not be pooled as a precise one
+        y, years = np.full(10, 2e12), 1950.0 + np.arange(10.0)
+        fit = fit_site(y, years, trend=True)
+        assert not fit.converged
+        assert np.linalg.eigvalsh(fit.precision).max() <= EIG_FLOOR
 
     def test_negative_data_rejected(self):
         y = -np.abs(np.random.default_rng(21).normal(size=30)) - 1.0
