@@ -33,6 +33,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from datetime import datetime, timezone
 
 import numpy as np
@@ -43,6 +44,8 @@ from .dataio import (
     DescriptorTransform,
     MaximaDataset,
     RunConfig,
+    check_finite,
+    check_type,
     config_hash,
     group_maxima,
     read_descriptors_csv,
@@ -86,10 +89,39 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+# config sections that build an object, with its class
+_SECTIONS = {"scenario": Scenario, "mesh": MeshOptions, "mcmc": McmcConfig,
+             "selection": SelectionConfig}
+
+
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        return RunConfig.from_json(args.config)
-    return RunConfig.from_json("{}")
+    """The run configuration, its sections built and validated before any work."""
+    cfg = RunConfig.from_json(getattr(args, "config", None) or "{}")
+    for key in _SECTIONS:
+        _section(cfg, key)
+    return cfg
+
+
+def _section(cfg: RunConfig, key: str):
+    """Config section key as its class, each value checked against the field type.
+
+    A seed field defaults to the run's seed.  The object is validated when its
+    class has a validate method; a ValueError there is a ConfigError.
+    """
+    cls = _SECTIONS[key]
+    hints = typing.get_type_hints(cls)
+    values = {**({"seed": cfg.seed} if "seed" in hints else {}), **cfg.get(key, {})}
+    for name, value in values.items():
+        check_type(f"{key}.{name}", value, typing.get_args(hints[name]) or (hints[name],))
+        if hints[name] is tuple:
+            values[name] = tuple(value)
+    obj = cls(**values)
+    if hasattr(obj, "validate"):
+        try:
+            obj.validate()
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return obj
 
 
 def _write_manifest(out_dir: str, command: str, cfg: RunConfig, outputs: list) -> None:
@@ -153,6 +185,7 @@ def _load_inputs(cfg: RunConfig, args):
             transform = DescriptorTransform.fit(dnames, vals)
             ds.covariates = transform.apply(dnames, vals)
         else:
+            check_finite(dnames, vals)
             ds.covariates = vals
         ds.covariate_names = dnames
     return ds, transform
@@ -183,17 +216,6 @@ def _covariate_names_map(cfg: RunConfig) -> dict:
     }
 
 
-def _mesh_from_config(cfg: RunConfig, sites: np.ndarray):
-    opts = MeshOptions(**cfg.get("mesh", {}))
-    return build_mesh(sites, opts)
-
-
-def _mcmc_from_config(cfg: RunConfig) -> McmcConfig:
-    section = dict(cfg.get("mcmc", {}))
-    section.setdefault("seed", cfg.seed)
-    return McmcConfig(**section)
-
-
 # ----------------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------------
@@ -201,12 +223,7 @@ def _mcmc_from_config(cfg: RunConfig) -> McmcConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    section = dict(cfg.get("scenario", {}))
-    for key in ("beta_psi", "beta_tau", "record_length_range"):
-        if key in section:
-            section[key] = tuple(section[key])
-    scn = Scenario(**section)
-    sim = simulate_dataset(scn, seed=cfg.seed)
+    sim = simulate_dataset(_section(cfg, "scenario"), seed=cfg.seed)
     ds, truth = sim.dataset, sim.truth
 
     maxima_path = _out_path(args, "maxima.csv")
@@ -274,10 +291,8 @@ def cmd_select(args) -> int:
         raise ConfigError("selection needs a station table with covariates")
     _progress(f"fitting {ds.n_sites} sites")
     stacked = _max_step(cfg, ds)
-    mesh = _mesh_from_config(cfg, ds.sites)
-    sel_section = dict(cfg.get("selection", {}))
-    sel_section.setdefault("seed", cfg.seed)
-    sel_cfg = SelectionConfig(**sel_section)
+    mesh = build_mesh(ds.sites, _section(cfg, "mesh"))
+    sel_cfg = _section(cfg, "selection")
     covariates = {nm: ds.covariates[:, j] for j, nm in enumerate(ds.covariate_names)}
     _progress("forward selection per parameter")
     results = select_all(stacked, covariates, mesh=mesh, sites=ds.sites,
@@ -307,7 +322,7 @@ def cmd_select(args) -> int:
 
 def _structure_from(cfg: RunConfig, ds: MaximaDataset, stacked: StackedFits):
     spatial = {k: bool(v) for k, v in cfg.get("spatial", {}).items()}
-    mesh = _mesh_from_config(cfg, ds.sites) if any(spatial.values()) else None
+    mesh = build_mesh(ds.sites, _section(cfg, "mesh")) if any(spatial.values()) else None
     structure = build_structure(
         stacked, _designs_from_config(cfg, ds), spatial, sites=ds.sites,
         mesh=mesh, covariate_names=_covariate_names_map(cfg),
@@ -366,7 +381,7 @@ def cmd_fit(args) -> int:
     _progress(f"max step: fitting {ds.n_sites} sites")
     stacked = _max_step(cfg, ds)
     structure = _structure_from(cfg, ds, stacked)
-    mcmc = _mcmc_from_config(cfg)
+    mcmc = _section(cfg, "mcmc")
     _progress(f"smooth step: {mcmc.n_chains} chains x {mcmc.n_iterations} iterations")
     result = smooth_step(structure, mcmc, latent_seed=mcmc.seed + 1)
     theta = result.theta
@@ -569,6 +584,7 @@ def cmd_return_levels(args) -> int:
         validate_descriptors(dnames, raw)
         covs = transform.apply(dnames, raw)
     else:
+        check_finite(dnames, raw)
         covs = raw
     col_of = {nm: j for j, nm in enumerate(dnames)}
 
@@ -633,7 +649,7 @@ def cmd_cv(args) -> int:
     res = run_cv(
         ds, plan, variants=variants,
         covariate_names=cfg.get("covariates") or None,
-        mcmc=_mcmc_from_config(cfg),
+        mcmc=_section(cfg, "mcmc"),
         n_samples=int(section.get("n_samples", 32_000)),
         n_samples_trend=int(section.get("n_samples_trend", 3_200)),
         seed=cfg.seed,

@@ -26,9 +26,11 @@ __all__ = [
     "read_maxima_csv",
     "write_maxima_csv",
     "read_descriptors_csv",
+    "check_finite",
     "validate_descriptors",
     "DescriptorTransform",
     "RunConfig",
+    "check_type",
     "write_json_atomic",
     "write_csv_atomic",
     "config_hash",
@@ -242,13 +244,20 @@ _DESCRIPTOR_RANGES = {
 }
 
 
+def check_finite(names: list, values: np.ndarray) -> None:
+    """Require finite values in every descriptor column."""
+    values = np.asarray(values, dtype=float)
+    for j, nm in enumerate(names):
+        if not np.all(np.isfinite(values[:, j])):
+            raise DataError(f"descriptor {nm}: non-finite values")
+
+
 def validate_descriptors(names: list, values: np.ndarray) -> None:
     """Range-check known descriptor columns and require finite values."""
+    check_finite(names, values)
     values = np.asarray(values, dtype=float)
     for j, nm in enumerate(names):
         col = values[:, j]
-        if not np.all(np.isfinite(col)):
-            raise DataError(f"descriptor {nm}: non-finite values")
         bounds = _DESCRIPTOR_RANGES.get(nm.upper())
         if bounds is None:
             continue
@@ -263,12 +272,27 @@ def validate_descriptors(names: list, values: np.ndarray) -> None:
 # Descriptor transforms
 # ----------------------------------------------------------------------------
 
-# special cases by descriptor name; everything else defaults to log
-_SPECIAL_TRANSFORMS = {
-    "BFIHOST": ("square", lambda v: v**2),
-    "URBEXT": ("log1p", lambda v: np.log(v + 1.0)),
-    "ASPBAR": ("scale100", lambda v: v / 100.0),
+# kind -> (transform, test for the values it refuses, why they are refused)
+_TRANSFORMS = {
+    "log": (np.log, lambda v: v <= 0, "nonpositive values cannot be log-transformed"),
+    "square": (lambda v: v**2, None, None),
+    "log1p": (lambda v: np.log(v + 1.0), lambda v: v < 0, "negative values under log(x+1)"),
+    "scale100": (lambda v: v / 100.0, None, None),
 }
+# special cases by descriptor name; everything else defaults to log
+_KIND_OF = {"BFIHOST": "square", "URBEXT": "log1p", "ASPBAR": "scale100"}
+
+
+def _transformed(names: list, kinds: list, values: np.ndarray) -> np.ndarray:
+    """Each column of values under its kind's transform, before standardizing."""
+    cols = []
+    for j, (nm, kind) in enumerate(zip(names, kinds)):
+        fn, refuses, why = _TRANSFORMS[kind]
+        v = values[:, j]
+        if refuses is not None and np.any(refuses(v)):
+            raise DataError(f"descriptor {nm}: {why}")
+        cols.append(fn(v))
+    return np.column_stack(cols) if cols else np.empty((values.shape[0], 0))
 
 
 @dataclass
@@ -282,25 +306,8 @@ class DescriptorTransform:
 
     @classmethod
     def fit(cls, names: list, values: np.ndarray) -> "DescriptorTransform":
-        kinds = []
-        cols = []
-        for j, nm in enumerate(names):
-            v = values[:, j]
-            key = nm.upper()
-            if key in _SPECIAL_TRANSFORMS:
-                kind, fn = _SPECIAL_TRANSFORMS[key]
-                if key == "URBEXT" and np.any(v < 0):
-                    raise DataError(f"descriptor {nm}: negative values under log(x+1)")
-                cols.append(fn(v))
-            else:
-                kind = "log"
-                if np.any(v <= 0):
-                    raise DataError(
-                        f"descriptor {nm}: nonpositive values cannot be log-transformed"
-                    )
-                cols.append(np.log(v))
-            kinds.append(kind)
-        X = np.column_stack(cols) if cols else np.empty((values.shape[0], 0))
+        kinds = [_KIND_OF.get(nm.upper(), "log") for nm in names]
+        X = _transformed(names, kinds, values)
         means = X.mean(axis=0)
         sds = X.std(axis=0, ddof=0)
         if np.any(sds == 0.0):
@@ -312,25 +319,7 @@ class DescriptorTransform:
         """Transform new rows with the stored statistics."""
         if list(names) != self.names:
             raise DataError("descriptor columns do not match the fitted transform")
-        cols = []
-        for j, (nm, kind) in enumerate(zip(self.names, self.kinds)):
-            v = values[:, j]
-            if kind == "square":
-                t = v**2
-            elif kind == "log1p":
-                if np.any(v < 0):
-                    raise DataError(f"descriptor {nm}: negative values under log(x+1)")
-                t = np.log(v + 1.0)
-            elif kind == "scale100":
-                t = v / 100.0
-            else:
-                if np.any(v <= 0):
-                    raise DataError(
-                        f"descriptor {nm}: nonpositive values cannot be log-transformed"
-                    )
-                t = np.log(v)
-            cols.append((t - self.means[j]) / self.sds[j])
-        return np.column_stack(cols) if cols else np.empty((values.shape[0], 0))
+        return (_transformed(self.names, self.kinds, values) - self.means) / self.sds
 
     def to_dict(self) -> dict:
         return {
@@ -396,9 +385,27 @@ _NESTED_KEYS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_type(key: str, value, kinds: tuple) -> None:
+    """Raise ConfigError naming key unless value is of one of the types in kinds.
+
+    The value comes from JSON: a bool is not a number, an int is also a
+    float, and a list of numbers stands for a tuple.
+    """
+    as_json = {float: _is_number(value), int: _is_number(value) and isinstance(value, int),
+               tuple: isinstance(value, list) and all(map(_is_number, value))}
+    if not any(as_json.get(kind, isinstance(value, kind)) for kind in kinds):
+        wanted = " or ".join({type(None): "null", tuple: "a list of numbers"}
+                             .get(kind, kind.__name__) for kind in kinds)
+        raise ConfigError(f"config key {key!r} must be {wanted}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
-    """Validated run configuration; unknown keys are rejected."""
+    """Validated run configuration; unknown keys and wrong types are rejected."""
 
     raw: dict
 
@@ -418,10 +425,10 @@ class RunConfig:
         unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            check_type(key, value, (_CONFIG_FIELDS[key],))
         for key, sub in _NESTED_KEYS.items():
             if key in data:
-                if not isinstance(data[key], dict):
-                    raise ConfigError(f"config key {key!r} must be an object")
                 bad = set(data[key]) - sub
                 if bad:
                     raise ConfigError(f"unknown keys under {key!r}: {sorted(bad)}")

@@ -155,12 +155,8 @@ def reduced_variate(z, xi):
     below the lower endpoint (xi > 0) and +inf above the upper one (xi < 0).
     """
     z = np.asarray(z, dtype=float)
-    if isinstance(xi, float):  # the max step's scalar shape: skip numpy's overhead
-        in_band = abs(xi) < XI_SWITCH
-    else:
-        xi = np.asarray(xi, dtype=float)
-        in_band = (np.abs(xi) < XI_SWITCH).any()
-    if not in_band:
+    xi = np.asarray(xi, dtype=float)
+    if not (np.abs(xi) < XI_SWITCH).any():
         # the common case, bit-equal to the general path below: no shape in
         # the Taylor band and every point inside the support
         xz = xi * z
@@ -303,11 +299,6 @@ _XI_IN = float(np.nextafter(XI_LO, 0.0)), float(np.nextafter(XI_HI, 0.0))
 _DELTA_IN = float(np.nextafter(LINK.delta0, 0.0))
 
 
-def _clamp(out: np.ndarray, lo: float, hi: float):
-    """out clipped to [lo, hi]; a float for 0-d out, where np.clip is slow."""
-    return np.clip(out, lo, hi) if out.ndim else min(max(float(out), lo), hi)
-
-
 def shape_forward(xi):
     """Map xi in (-1/2, 1/2) to the unconstrained transformed shape."""
     xi = np.asarray(xi, dtype=float)
@@ -319,13 +310,7 @@ def shape_forward(xi):
 
 
 def _shape_e(phi):
-    """exp((phi - a) / b); a float phi is worked on as a float64 scalar.
-
-    The max step passes floats, where numpy's 0-d array overhead dominates;
-    the scalar gets the same operations as a 0-d array, so the same bits.
-    """
-    if isinstance(phi, float):
-        return np.exp((np.float64(min(max(phi, _PHI_LO), _PHI_HI)) - _A_PHI) / _B_PHI)
+    """exp((phi - a) / b) at phi held inside [_PHI_LO, _PHI_HI]."""
     return np.exp((np.clip(np.asarray(phi, dtype=float), _PHI_LO, _PHI_HI) - _A_PHI) / _B_PHI)
 
 
@@ -335,8 +320,8 @@ def shape_inverse(phi):
     Clamped one ulp inside the endpoints where float64 saturates, so the
     open-interval invariant holds for arbitrarily large |phi|.
     """
-    out = (-np.expm1(-_shape_e(phi))) ** (1.0 / LINK.c_phi) - 0.5
-    return _clamp(out, *_XI_IN)
+    out = np.clip((-np.expm1(-_shape_e(phi))) ** (1.0 / LINK.c_phi) - 0.5, *_XI_IN)
+    return out if out.ndim else float(out)
 
 
 def shape_inverse_deriv(phi):
@@ -393,8 +378,8 @@ def trend_inverse(gamma):
     Clamped one ulp inside +-delta0, where tanh saturates, so finite gamma
     always yields delta in the open interval (-delta0, delta0).
     """
-    out = LINK.delta0 * np.tanh(_trend_x(gamma))
-    return _clamp(out, -_DELTA_IN, _DELTA_IN)
+    out = np.clip(LINK.delta0 * np.tanh(_trend_x(gamma)), -_DELTA_IN, _DELTA_IN)
+    return out if out.ndim else float(out)
 
 
 def _trend_x(gamma):
@@ -447,8 +432,6 @@ def shape_prior_logdensity(phi):
     Beta(4, 4) shifted to (-1/2, 1/2) on the shape scale, pushed through the
     inverse map with its analytic Jacobian.
     """
-    if isinstance(phi, float):  # the max step's scalar shape: skip numpy's overhead
-        return _shape_prior_scalar(phi)
     phi = np.asarray(phi, dtype=float)
     xi = shape_inverse(phi)
     with np.errstate(divide="ignore"):
@@ -457,23 +440,6 @@ def shape_prior_logdensity(phi):
     out = log_beta + log_jac
     out = np.where(np.isfinite(out), out, -np.inf)
     return out if out.ndim else float(out)
-
-
-def _shape_prior_scalar(phi: float) -> float:
-    """shape_prior_logdensity for one float: the same ufuncs on float64 scalars.
-
-    Each step repeats the 0-d array path's operation on the same operands, so
-    the result is equal bit for bit; e, the expm1 term and xi are computed
-    once, and a zero Jacobian returns -inf before its log is taken.
-    """
-    e = _shape_e(phi)
-    inner = -np.expm1(-e)
-    xi = _clamp(inner ** (1.0 / LINK.c_phi) - 0.5, *_XI_IN)
-    jac = (1.0 / LINK.c_phi) * inner ** (1.0 / LINK.c_phi - 1.0) * np.exp(-e) * e / _B_PHI
-    if not jac > 0.0:  # zero, or nan for a nan phi
-        return -math.inf
-    out = _BETA_LOG_NORM + 3.0 * np.log(xi + 0.5) + 3.0 * np.log(0.5 - xi) + np.log(jac)
-    return float(out) if math.isfinite(out) else -math.inf
 
 
 def trend_prior_logdensity(gamma):

@@ -350,11 +350,12 @@ def build_structure(stacked: StackedFits, designs: dict[str, np.ndarray],
 # Marginal likelihood of eta_hat given theta
 # ----------------------------------------------------------------------------
 
-def _w_blocks(structure: LatentStructure, theta: np.ndarray):
+def _w_blocks(structure: LatentStructure, theta: np.ndarray, drop=None):
     """Per-site W blocks (J, q, q) and log det W.
 
     W_i = (Q_i^-1 + diag(sigma_eps^2))^-1 marginalizes the nugget into
-    the pseudo-observation noise.
+    the pseudo-observation noise.  The sites in drop get W_i = 0 and add
+    nothing to log det W.
     """
     sig2 = structure.sigma_eps2_by_param(theta)
     D = structure._cov_blocks + np.diag(sig2)[None, :, :]
@@ -362,17 +363,22 @@ def _w_blocks(structure: LatentStructure, theta: np.ndarray):
     sign, logdet_d = np.linalg.slogdet(D)
     if np.any(sign <= 0):
         raise NumericalError("noise covariance block lost positive definiteness")
+    if drop is not None:
+        W[drop] = 0.0
+        logdet_d[drop] = 0.0
     return W, -float(logdet_d.sum())
 
 
-def _collapsed_system(structure: LatentStructure, theta: np.ndarray):
+def _collapsed_system(structure: LatentStructure, theta: np.ndarray, drop=None):
     """Factor of P = Q_nu + Z' W Z and the shift Z' W eta_hat at theta.
 
     P's values are written into its fixed pattern by two sparse mat-vecs.
-    Also returns eta_hat' W eta_hat and log det W.  Raises NumericalError
-    when P is not positive definite.
+    Also returns eta_hat' W eta_hat and log det W.  The sites in drop (the
+    held-out sites of a cross-validation fold) get zero W blocks, so all four
+    describe the system of the other sites.  Raises NumericalError when P is
+    not positive definite.
     """
-    W, logdet_w = _w_blocks(structure, theta)
+    W, logdet_w = _w_blocks(structure, theta, drop)
     pattern = structure._p_pattern
     P = pattern.matrix(structure.q_nu_coefficients(theta), W.ravel())
     q, J = structure.n_params, structure.n_sites

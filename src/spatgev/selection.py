@@ -12,20 +12,26 @@ posterior mean regression surface.
 Hyperparameters are estimated once per candidate model on the full data
 from a posterior grid, then held fixed across folds; refitting them inside
 every fold would multiply the cost tenfold for no measurable change in the
-ranking.
+ranking.  Each fold reuses the candidate structure's one Gaussian system
+(latent._collapsed_system) with the held-out sites' weights set to zero, so
+its pattern and fill-reducing order are built once per candidate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from ._sparse import SymmetricFactor
 from ._workers import run_indexed
 from .errors import ConfigError
-from .latent import LatentStructure, ParamModel, log_prior_theta, marginal_loglik
+from .latent import (
+    LatentStructure,
+    ParamModel,
+    _collapsed_system,
+    log_prior_theta,
+    marginal_loglik,
+)
 from .site_fit import PARAM_NAMES, StackedFits
 from .spde import Mesh, projector
 
@@ -93,32 +99,18 @@ def make_folds(n_sites: int, n_folds: int, seed: int = 0) -> list:
 
 
 # ----------------------------------------------------------------------------
-# Candidate model wrapper
+# Candidate models
 # ----------------------------------------------------------------------------
 
 
-@dataclass
-class _Candidate:
-    """One regression model for one parameter, with its fitted hyperparameters."""
-
-    names: tuple
-    spatial: bool
-    structure: LatentStructure
-    theta: np.ndarray = field(default=None)
-
-    @property
-    def Z(self):
-        return self.structure.Z
-
-
 def _build_candidate(obs: UnivariateObs, X: np.ndarray, spatial: bool,
-                     mesh: Mesh | None, A, names: tuple,
-                     config: SelectionConfig) -> _Candidate:
+                     mesh: Mesh | None, A, config: SelectionConfig) -> LatentStructure:
+    """One regression model for one parameter as a one-parameter latent structure."""
     prec = (1.0 / obs.var).reshape(-1, 1, 1)
     rho0 = config.rho0
     if rho0 is None and mesh is not None:
         rho0 = 0.1 * mesh.diameter
-    structure = LatentStructure(
+    return LatentStructure(
         eta_hat=obs.eta.copy(),
         prec_blocks=prec,
         params=[ParamModel(name=obs.name, design=X, spatial=spatial)],
@@ -129,7 +121,6 @@ def _build_candidate(obs: UnivariateObs, X: np.ndarray, spatial: bool,
         eps0=config.eps0,
         sigma_beta=config.sigma_beta,
     )
-    return _Candidate(names=names, spatial=spatial, structure=structure)
 
 
 def _theta_grid(obs: UnivariateObs, structure: LatentStructure,
@@ -160,33 +151,27 @@ def _theta_grid(obs: UnivariateObs, structure: LatentStructure,
     return np.exp(w @ pts)
 
 
-def _fold_rmse(cand: _Candidate, obs: UnivariateObs, folds: list) -> float:
+def _fold_rmse(structure: LatentStructure, theta: np.ndarray, folds: list) -> float:
     """Mean over folds of held-out RMSE under fixed hyperparameters."""
-    theta = cand.theta
-    eps = cand.structure.unpack_theta(theta)[obs.name]["eps"]
-    w_full = 1.0 / (obs.var + eps**2)
-    Z = cand.Z.tocsr()
-    Q_nu = cand.structure.q_nu(theta)
     rmses = []
     for test in folds:
-        train = np.setdiff1d(np.arange(obs.eta.size), test)
-        Zt = Z[train]
-        w = w_full[train]
-        P = (Q_nu + Zt.T @ sparse.diags(w) @ Zt).tocsc()
-        rhs = Zt.T @ (w * obs.eta[train])
-        m = SymmetricFactor(P).solve(rhs)
-        pred = Z[test] @ m
-        rmses.append(float(np.sqrt(np.mean((obs.eta[test] - pred) ** 2))))
+        fac, rhs, _, _ = _collapsed_system(structure, theta, drop=test)
+        pred = structure.Z[test] @ fac.solve(rhs)
+        rmses.append(float(np.sqrt(np.mean((structure.eta_hat[test] - pred) ** 2))))
     return float(np.mean(rmses))
 
 
 def cv_score(obs: UnivariateObs, X: np.ndarray, spatial: bool,
              mesh: Mesh | None, folds: list, config: SelectionConfig,
              A=None, names: tuple = ()) -> tuple:
-    """Fit hyperparameters once, then cross-validate; returns (score, theta)."""
-    cand = _build_candidate(obs, X, spatial, mesh, A, names, config)
-    cand.theta = _theta_grid(obs, cand.structure, config)
-    return _fold_rmse(cand, obs, folds), cand.theta
+    """Fit hyperparameters once, then cross-validate; returns (score, theta).
+
+    names labels the design's covariate columns for callers; the score does
+    not depend on it.
+    """
+    structure = _build_candidate(obs, X, spatial, mesh, A, config)
+    theta = _theta_grid(obs, structure, config)
+    return _fold_rmse(structure, theta, folds), theta
 
 
 # ----------------------------------------------------------------------------

@@ -305,6 +305,17 @@ class TestReturnLevels:
         assert lines[0] == "station,period,year,mean,lower,upper"
         assert len(lines) == 5  # 2 targets x 2 periods
 
+    def test_non_finite_target_descriptor_refused(self, pipeline, tmp_path, capsys):
+        targets = tmp_path / "targets.csv"
+        targets.write_text("station,x,y,c1,c2\nt001,50.0,50.0,nan,-0.2\n")
+        code = main(["return-levels", "--config", pipeline["cfg"],
+                     *pipeline["data"], "--fit", pipeline["fit"],
+                     "--targets", str(targets), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert "c1" in err["message"]
+
     def test_missing_covariate_in_targets(self, pipeline, tmp_path):
         targets = tmp_path / "targets.csv"
         targets.write_text("station,x,y,c2\nt001,50.0,50.0,-0.2\n")
@@ -420,6 +431,45 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError"
         assert "Z999" in err["message"]
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("simulate", {"seed": "x"}, "seed"),
+        ("fit", {"mcmc": {"n_chains": "2"}}, "mcmc.n_chains"),
+        ("fit", {"mesh": {"interior_divisor": -1}, "spatial": {"psi": True}}, "mesh"),
+    ])
+    def test_wrong_config_type_refused_before_work(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch, command, config, key):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the max step ran on a bad configuration")
+
+        monkeypatch.setattr(spatgev.cli, "fit_all_sites", no_work)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        data = pipeline["data"] if command == "fit" else []
+        code = main([command, "--config", str(cfg), *data, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert repr(key) in err["message"]
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_non_finite_untransformed_descriptor_refused(self, pipeline, tmp_path,
+                                                        capsys, command):
+        # transform_descriptors is false: the columns go into the design as they are
+        with open(os.path.join(pipeline["sim"], "sites.csv")) as fh:
+            lines = fh.read().splitlines()
+        header = lines[0].split(",")
+        row = lines[3].split(",")
+        row[header.index("c2")] = "nan"
+        lines[3] = ",".join(row)
+        sites = tmp_path / "sites.csv"
+        sites.write_text("\n".join(lines) + "\n")
+        code = main([command, "--config", pipeline["cfg"], "--maxima", pipeline["data"][1],
+                     "--sites", str(sites), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert "c2" in err["message"]
 
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as exc:

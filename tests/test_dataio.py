@@ -251,6 +251,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="mcmc"):
             RunConfig.from_json('{"mcmc": {"chains": 4}}')
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": "x"}', "seed"), ('{"seed": true}', "seed"), ('{"seed": 1.5}', "seed"),
+        ('{"trend": 1}', "trend"), ('{"t0": "1990"}', "t0"),
+        ('{"covariates": "c1"}', "covariates"), ('{"mcmc": []}', "mcmc"),
+    ])
+    def test_wrong_top_level_type(self, text, key):
+        with pytest.raises(ConfigError, match=repr(key)):
+            RunConfig.from_json(text)
+
+    def test_int_is_a_float(self):
+        assert RunConfig.from_json('{"t0": 1990}').get("t0") == 1990
+
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             RunConfig.from_json("{not json")

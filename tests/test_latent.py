@@ -215,6 +215,59 @@ class TestFixedPattern:
             assert marginal_loglik(copy, thetas[0]) == before
 
 
+def _kept_structure(st, keep):
+    """st rebuilt from the sites in keep alone, on the same mesh."""
+    q, J = st.n_params, st.n_sites
+    return LatentStructure(
+        eta_hat=st.eta_hat.reshape(q, J)[:, keep].ravel(), prec_blocks=st.prec_blocks[keep],
+        params=[ParamModel(name=pm.name, design=pm.design[keep], spatial=pm.spatial)
+                for pm in st.params],
+        mesh=st.mesh, A=st.A[keep], s0=st.s0, rho0=st.rho0, eps0=st.eps0,
+        sigma_beta=st.sigma_beta)
+
+
+class TestDroppedSites:
+    """_collapsed_system with held-out sites at zero weight, as the folds use it."""
+
+    @staticmethod
+    def _cases():
+        stacked, sites, rng = _stacked(9, 57)
+        X = np.column_stack([np.ones(9), rng.standard_normal(9)])
+        three = build_structure(stacked, designs={"psi": X, "tau": X},
+                                spatial={"psi": True, "tau": True}, sites=sites)
+        four = _fixed_pattern_cases()[1][0]  # trend, psi and tau fields
+        for st in (three, four):
+            yield st, np.exp(rng.uniform(-2.5, 1.0, size=st.n_theta))
+
+    def test_matches_kept_sites_and_dense_mvn(self):
+        for st, theta in self._cases():
+            for drop in (np.array([1, 4]), np.array([0, 2, 7])):
+                keep = np.setdiff1d(np.arange(st.n_sites), drop)
+                kept = _kept_structure(st, keep)
+                fac, rhs, eta_w_eta, logdet_w = _collapsed_system(st, theta, drop=drop)
+                fac_k, rhs_k, eta_w_eta_k, logdet_w_k = _collapsed_system(kept, theta)
+                assert_allclose(fac.logdet, fac_k.logdet, rtol=1e-10)
+                assert_allclose(fac.solve(rhs), fac_k.solve(rhs_k), rtol=1e-10)
+                assert_allclose(eta_w_eta, eta_w_eta_k, rtol=1e-10)
+                assert_allclose(logdet_w, logdet_w_k, rtol=1e-10)
+                # together they give the kept sites' marginal density
+                quad = eta_w_eta - float(rhs @ fac.solve(rhs))
+                loglik = (-0.5 * st.n_params * keep.size * math.log(2.0 * math.pi)
+                          + 0.5 * (logdet_w + st.logdet_q_nu(theta) - fac.logdet)
+                          - 0.5 * quad)
+                assert_allclose(loglik, _dense_marginal_logpdf(kept, theta), rtol=1e-10)
+
+    def test_empty_drop_is_bit_equal_to_none(self):
+        for st, theta in self._cases():
+            fac, rhs, eta_w_eta, logdet_w = _collapsed_system(st, theta)
+            for empty in (np.array([], dtype=int), []):
+                fac_e, rhs_e, eta_w_eta_e, logdet_w_e = _collapsed_system(st, theta, drop=empty)
+                assert np.array_equal(rhs_e, rhs)
+                assert np.array_equal(fac_e.solve(rhs_e), fac.solve(rhs))
+                assert (fac_e.logdet, eta_w_eta_e, logdet_w_e) == (fac.logdet, eta_w_eta,
+                                                                  logdet_w)
+
+
 class TestConditionalSampling:
     @staticmethod
     def _assert_moments_match_dense(st, theta, seed):

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spatgev import latent
+from spatgev._sparse import SymmetricFactor
 from spatgev.errors import ConfigError
 from spatgev.gev import GevParams, gev_sample
 from spatgev.selection import (
@@ -136,6 +138,32 @@ class TestCvScoreOracle:
             m = np.linalg.solve(P, Z[train].T @ W @ obs.eta[train])
             rmses.append(np.sqrt(np.mean((obs.eta[test] - Z[test] @ m) ** 2)))
         assert_allclose(score, np.mean(rmses), rtol=1e-8)
+
+
+    def test_folds_reuse_the_structure_order(self, monkeypatch):
+        # the folds factor the candidate's one system with the held-out
+        # weights at zero: one fill-reducing order per candidate, none per fold
+        rng = np.random.default_rng(9)
+        sites = rng.uniform(0.0, 10.0, size=(25, 2))
+        mesh = build_mesh(sites)
+        obs = UnivariateObs(name="psi", eta=rng.normal(size=25), var=np.full(25, 0.01))
+        orders, n_ordered = [], []
+        init = SymmetricFactor.__init__
+        fill_order = latent.fill_reducing_order
+
+        def recorded(self, Q, order=None):
+            orders.append(order)
+            init(self, Q, order)
+
+        monkeypatch.setattr(SymmetricFactor, "__init__", recorded)
+        monkeypatch.setattr(latent, "fill_reducing_order",
+                            lambda *args: n_ordered.append(1) or fill_order(*args))
+        folds = make_folds(25, 5, seed=0)
+        cv_score(obs, np.ones((25, 1)), True, mesh, folds,
+                 SelectionConfig(n_folds=5, grid_size=2), A=projector(mesh, sites))
+        assert len(orders) == 2**3 + 5  # the grid, then the folds
+        assert all(order is not None for order in orders)
+        assert len(n_ordered) == 1
 
 
 class TestForwardSearch:
