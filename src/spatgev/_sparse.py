@@ -3,21 +3,28 @@
 Wraps scipy's SuperLU in symmetric mode, which for an SPD matrix produces an
 LDLt-style factorization with a single fill-reducing permutation (row and
 column permutations coincide).  That gives log-determinants, linear solves,
-and sampling from N(0, Q^-1) without any extra dependency.
+and sampling from N(0, Q^-1) without any extra dependency.  scipy.sparse
+and its linalg module are imported on the first factorization, so commands
+that factor nothing never load them.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["SymmetricFactor", "fill_reducing_order"]
 
 
 def _splu(Q: sparse.csc_matrix, permc_spec: str):
+    from scipy.sparse.linalg import splu
+
     return splu(Q, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True))
 
@@ -30,6 +37,8 @@ def fill_reducing_order(pattern: sparse.spmatrix) -> np.ndarray:
     pattern must hold the diagonal).  Every matrix A on the pattern then
     factors as SymmetricFactor(A[order][:, order], order=order).
     """
+    from scipy import sparse
+
     M = sparse.csc_matrix(pattern, dtype=float, copy=True)
     M.data[:] = -1.0
     M.setdiag(np.diff(M.indptr) + 1.0)
@@ -47,6 +56,8 @@ class SymmetricFactor:
     """
 
     def __init__(self, Q: sparse.spmatrix, order: np.ndarray | None = None):
+        from scipy import sparse
+
         Q = sparse.csc_matrix(Q)
         if Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
@@ -85,6 +96,9 @@ class SymmetricFactor:
 
         Row k of the output uses row k of z only.
         """
+        from scipy import sparse
+        from scipy.sparse.linalg import spsolve_triangular
+
         if self._m_t is None:
             # solving M^T y = z with M = L sqrt(D) draws y ~ N(0, Q_perm^-1)
             self._m_t = (self._lu.L @ sparse.diags(np.sqrt(self._diag_u))).T.tocsr()

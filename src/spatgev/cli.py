@@ -13,10 +13,14 @@ eta_draws.csv, nu_draws.csv), their summaries (theta_summary.csv,
 latent_summary.csv) and model.json, fit writes max_step.csv: per station the
 link-space mode, the full q x q precision block (repr floats, so they read
 back bit for bit) and the fit's loglik, n_obs, converged, hessian_repaired
-and n_restarts.  predict, return-levels and aggregate rebuild the latent
-structure from that file and never rerun the max step.  Every file they read
-from the fit directory must match its sha256 in manifest.json; a missing
-manifest, file or entry, or a mismatch, is refused with a data error.
+and n_restarts.  fit also writes mesh.json, the triangulation its fields live
+on (compact JSON with repr floats, null for a model without fields).
+predict, return-levels and aggregate rebuild the latent structure from those
+two files: they never rerun the max step, build no mesh and import no scipy
+module.  Every file they read from the fit directory must match its sha256 in
+manifest.json; a missing manifest, file or entry, or a mismatch, is refused
+with a data error, and so is a mesh whose leading nodes are not the input's
+site coordinates.
 
 Where the work runs: fit, fit-sites, select and cv fit the stations of the
 max step, run the MCMC chains and select covariates per link parameter in
@@ -62,13 +66,14 @@ from .predict import UngaugedSite, posterior_predictive, return_level, ungauged_
 from .selection import SelectionConfig, select_all
 from .simulate import Scenario, simulate_dataset
 from .site_fit import PARAM_NAMES, SiteFit, StackedFits, fit_all_sites, stack_fits
-from .spde import MeshOptions, build_mesh
+from .spde import Mesh, MeshOptions, build_mesh
 
 _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4}
 MAX_STEP_FILE = "max_step.csv"
+MESH_FILE = "mesh.json"
 # files of a fit directory that queries read, each checked against manifest.json
-FIT_FILES = ("model.json", MAX_STEP_FILE, "theta_draws.csv", "theta_summary.csv",
-             "eta_draws.csv", "nu_draws.csv")
+FIT_FILES = ("model.json", MAX_STEP_FILE, MESH_FILE, "theta_draws.csv",
+             "theta_summary.csv", "eta_draws.csv", "nu_draws.csv")
 
 
 def _progress(msg: str) -> None:
@@ -92,13 +97,33 @@ def _sha256(path: str) -> str:
 # config sections that build an object, with its class
 _SECTIONS = {"scenario": Scenario, "mesh": MeshOptions, "mcmc": McmcConfig,
              "selection": SelectionConfig}
+# config sections read key by key, with the JSON types each key takes
+_NULL = type(None)
+_KEY_TYPES = {
+    "priors": {"s0": (float,), "rho0": (float, _NULL), "eps0": (float,),
+               "sigma_beta": (float,)},
+    "cv": {"split_year": (float,), "complete_through": (float,),
+           "min_start_year": (float,), "n_heldout": (int,), "seed": (int,),
+           "n_eff_time": (float, _NULL), "n_eff_space": (float,), "variants": (list,),
+           "n_samples": (int,), "n_samples_trend": (int,)},
+    "predict": {"year": (float, _NULL), "stations": (list, _NULL),
+                "include_nugget": (bool,)},
+    "aggregate": {"stations": (list, _NULL), "weights": (tuple, _NULL),
+                  "year_range": (tuple, _NULL), "periods": (tuple,), "n_blocks": (int,),
+                  "pool_size": (int,), "n_bootstrap": (int,)},
+}
 
 
 def _load_config(args) -> RunConfig:
-    """The run configuration, its sections built and validated before any work."""
+    """The run configuration, its sections built and type-checked before any work."""
     cfg = RunConfig.from_json(getattr(args, "config", None) or "{}")
     for key in _SECTIONS:
         _section(cfg, key)
+    for key, types in _KEY_TYPES.items():
+        for name, value in cfg.get(key, {}).items():
+            check_type(f"{key}.{name}", value, types[name])
+    if "return_periods" in cfg.raw:
+        check_type("return_periods", cfg.raw["return_periods"], (tuple,))
     return cfg
 
 
@@ -320,9 +345,9 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _structure_from(cfg: RunConfig, ds: MaximaDataset, stacked: StackedFits):
+def _structure_from(cfg: RunConfig, ds: MaximaDataset, stacked: StackedFits,
+                    mesh: Mesh | None):
     spatial = {k: bool(v) for k, v in cfg.get("spatial", {}).items()}
-    mesh = build_mesh(ds.sites, _section(cfg, "mesh")) if any(spatial.values()) else None
     structure = build_structure(
         stacked, _designs_from_config(cfg, ds), spatial, sites=ds.sites,
         mesh=mesh, covariate_names=_covariate_names_map(cfg),
@@ -380,7 +405,9 @@ def cmd_fit(args) -> int:
     ds, transform = _load_inputs(cfg, args)
     _progress(f"max step: fitting {ds.n_sites} sites")
     stacked = _max_step(cfg, ds)
-    structure = _structure_from(cfg, ds, stacked)
+    mesh = (build_mesh(ds.sites, _section(cfg, "mesh"))
+            if any(cfg.get("spatial", {}).values()) else None)
+    structure = _structure_from(cfg, ds, stacked, mesh)
     mcmc = _section(cfg, "mcmc")
     _progress(f"smooth step: {mcmc.n_chains} chains x {mcmc.n_iterations} iterations")
     result = smooth_step(structure, mcmc, latent_seed=mcmc.seed + 1)
@@ -394,6 +421,10 @@ def cmd_fit(args) -> int:
     max_step_path = _out_path(args, MAX_STEP_FILE)
     _write_max_step(max_step_path, ds.station_ids, stacked)
     outputs.append((MAX_STEP_FILE, max_step_path))
+
+    path = _out_path(args, MESH_FILE)
+    write_json_atomic(path, None if mesh is None else mesh.to_dict(), compact=True)
+    outputs.append((MESH_FILE, path))
 
     path = _out_path(args, "theta_draws.csv")
     write_csv_atomic(path, theta.names,
@@ -479,15 +510,36 @@ def _check_fit_files(fit_dir: str) -> None:
             raise DataError(f"{path}: sha256 does not match manifest.json")
 
 
+def _read_mesh(fit_dir: str, model: dict, ds: MaximaDataset) -> Mesh | None:
+    """The fit's mesh, or None for a model without fields.
+
+    Its leading nodes must be the input's site coordinates, bit for bit.
+    """
+    path = os.path.join(fit_dir, MESH_FILE)
+    try:
+        with open(path) as fh:
+            stored = json.load(fh)
+        mesh = None if stored is None else Mesh.from_dict(stored)
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if (mesh is None) == any(model["spatial"].values()):
+        raise DataError(f"{path}: does not match the fields of model.json")
+    if mesh is not None and (mesh.n_sites != ds.n_sites
+                             or not np.array_equal(mesh.points[:mesh.n_sites], ds.sites)):
+        raise DataError(f"{path}: mesh sites differ from the input site coordinates")
+    return mesh
+
+
 def _load_fit(fit_dir: str, cfg: RunConfig, args):
     """Reassemble a SmoothResult from a fit directory plus the input data.
 
-    The fit directory holds model.json, max_step.csv, theta_draws.csv,
-    theta_summary.csv, eta_draws.csv and nu_draws.csv, each checked against
-    its sha256 in manifest.json first.  The latent structure is rebuilt from
-    max_step.csv, whose station order and parameter count must match
-    model.json; the max step is not rerun.  The input data still supplies
-    station coordinates, covariates and records.
+    The fit directory holds model.json, max_step.csv, mesh.json,
+    theta_draws.csv, theta_summary.csv, eta_draws.csv and nu_draws.csv, each
+    checked against its sha256 in manifest.json first.  The latent structure
+    is rebuilt from max_step.csv, whose station order and parameter count
+    must match model.json, and from the stored mesh; neither the max step
+    nor the mesh is computed again.  The input data still supplies station
+    coordinates, covariates and records.
     """
     _check_fit_files(fit_dir)
     with open(os.path.join(fit_dir, "model.json")) as fh:
@@ -505,7 +557,8 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
                                        ("covariates", "tau_covariates", "spatial",
                                         "trend", "t0", "priors", "mesh")
                                        if model.get(k) is not None}})
-    structure = _structure_from(sub, ds, _read_max_step(fit_dir, model))
+    structure = _structure_from(sub, ds, _read_max_step(fit_dir, model),
+                                _read_mesh(fit_dir, model, ds))
 
     names, theta_draws = _read_draws_csv(os.path.join(fit_dir, "theta_draws.csv"))
     if names != model["theta_names"]:
@@ -697,6 +750,8 @@ def cmd_aggregate(args) -> int:
         raise ConfigError(f"unknown stations in aggregate.stations: {missing}")
     station_indices = np.array([index[st] for st in stations])
     year_range = section.get("year_range")
+    if year_range is not None and len(year_range) != 2:
+        raise ConfigError("aggregate.year_range must hold a first and a last year")
     block = historical_block(ds, station_indices,
                              year_range=None if year_range is None
                              else (float(year_range[0]), float(year_range[1])))

@@ -448,12 +448,14 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def write_json_atomic(path: str, obj) -> None:
+def write_json_atomic(path: str, obj, compact: bool = False) -> None:
     """Write JSON via a temporary file and rename, so readers never see
-    partial output."""
+    partial output.  compact drops the indentation and the spaces, for
+    files of numbers."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, sort_keys=True,
+                  **({"separators": (",", ":")} if compact else {"indent": 2}))
         fh.write("\n")
     os.replace(tmp, path)
 

@@ -22,6 +22,10 @@ Q_i + diag(sigma_eps^-2), drawn for all sites at once.  P keeps one sparsity
 pattern for every theta: the pattern, its fill-reducing order and the linear
 maps from theta's coefficients and the W blocks to P's values are built once
 per structure, so each theta costs two sparse mat-vecs and one factorization.
+
+Building a structure needs numpy only.  The sparse design Z, the patterns and
+the factor import scipy when first used, so commands that read draws from a
+fit directory and evaluate no likelihood never load it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from ._sparse import SymmetricFactor, fill_reducing_order
 from ._workers import run_indexed
@@ -45,6 +49,9 @@ from .spde import (
     precision_logdet_fast,
     projector,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ParamModel",
@@ -90,6 +97,8 @@ class _FixedPattern:
     order: np.ndarray | None = None
 
     def matrix(self, coef: np.ndarray, w: np.ndarray | None = None) -> sparse.csc_matrix:
+        from scipy import sparse
+
         data = self.coef_map @ coef
         if w is not None:
             data += self.w_map @ w
@@ -120,13 +129,12 @@ class LatentStructure:
     prec_blocks: np.ndarray  # (J, q, q) per-site precision
     params: list[ParamModel]
     mesh: Mesh | None
-    A: sparse.csr_matrix | None  # (J, n_nodes)
+    A: np.ndarray | None  # (J, n_nodes), from spde.projector
     s0: float
     rho0: float
     eps0: float
     sigma_beta: float = SIGMA_BETA
     # derived fields
-    Z: sparse.csc_matrix = field(init=False, repr=False)
     nu_slices: dict = field(init=False, repr=False)
     theta_names: list = field(init=False)
     _cov_blocks: np.ndarray = field(init=False, repr=False)
@@ -136,13 +144,11 @@ class LatentStructure:
         q = self.n_params
         if self.eta_hat.shape != (q * J,):
             raise ConfigError("eta_hat length does not match parameter count times sites")
-        blocks = []
         offset = 0
         self.nu_slices = {}
         for pm in self.params:
             if pm.design.shape[0] != J:
                 raise ConfigError(f"design for {pm.name} has wrong number of rows")
-            parts = [sparse.csr_matrix(pm.design)]
             p_l = pm.design.shape[1]
             self.nu_slices[pm.name] = {"beta": slice(offset, offset + p_l)}
             offset += p_l
@@ -150,11 +156,8 @@ class LatentStructure:
                 if self.A is None:
                     raise ConfigError(f"spatial field on {pm.name} requires a mesh")
                 n = self.A.shape[1]
-                parts.append(self.A)
                 self.nu_slices[pm.name]["u"] = slice(offset, offset + n)
                 offset += n
-            blocks.append(sparse.hstack(parts, format="csr"))
-        self.Z = sparse.block_diag(blocks, format="csc")
         self.theta_names = []
         for pm in self.params:
             self.theta_names.append(f"eps_{pm.name}")
@@ -165,6 +168,21 @@ class LatentStructure:
         sign, _ = np.linalg.slogdet(self.prec_blocks)
         if np.any(sign <= 0):
             raise NumericalError("a site precision block is not positive definite")
+
+    @cached_property
+    def Z(self) -> sparse.csc_matrix:
+        """Sparse (q*J, n_nu) map from nu to the parameter-major linear predictors.
+
+        Block diagonal over parameters; parameter l's block is [X_l, A] with a
+        field and X_l without.
+        """
+        from scipy import sparse
+
+        blocks = []
+        for pm in self.params:
+            parts = [pm.design, self.A] if pm.spatial else [pm.design]
+            blocks.append(sparse.csr_matrix(np.hstack(parts)))
+        return sparse.block_diag(blocks, format="csc")
 
     def _q_nu_entries(self) -> tuple:
         """Q_nu as (rows, cols, coefficient index, value) entries.
@@ -197,6 +215,8 @@ class LatentStructure:
 
     @cached_property
     def _q_nu_pattern(self) -> _FixedPattern:
+        from scipy import sparse
+
         rows, cols, coef, vals, n_coef = self._q_nu_entries()
         indptr, indices, slot = _pattern(self.n_nu, rows, cols)
         coef_map = sparse.csr_matrix((vals, (slot, coef)), shape=(indices.size, n_coef))
@@ -211,6 +231,8 @@ class LatentStructure:
         one site adds value Z[.., r] Z[.., s] times W.ravel()[(i q + a) q + b].
         Entries whose values cancel stay in the pattern as explicit zeros.
         """
+        from scipy import sparse
+
         J, q = self.n_sites, self.n_params
         rows_q, cols_q, coef, vals_q, n_coef = self._q_nu_entries()
         Zr = self.Z.tocsr()
@@ -254,7 +276,7 @@ class LatentStructure:
 
     @property
     def n_nu(self) -> int:
-        return self.Z.shape[1]
+        return max(sl.stop for part in self.nu_slices.values() for sl in part.values())
 
     def unpack_theta(self, theta: np.ndarray) -> dict:
         """Split the flat theta vector into per-parameter dicts."""

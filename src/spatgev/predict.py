@@ -215,7 +215,7 @@ def predict_ungauged(result: SmoothResult, site: UngaugedSite,
             )
         draws = result.nu_block(pm.name, "beta") @ x
         if pm.spatial:
-            draws = draws + result.nu_block(pm.name, "u") @ a_row.toarray().ravel()
+            draws = draws + result.nu_block(pm.name, "u") @ a_row[0]
         if include_nugget:
             k = structure.theta_names.index(f"eps_{pm.name}")
             draws = draws + theta[:, k] * rng.standard_normal(draws.shape[0])

@@ -295,6 +295,9 @@ def select_all(stacked: StackedFits, covariates: dict,
     if mesh is not None:
         # every spatial candidate reads these; fill them once, before the fork
         _ = mesh.field_spectrum, mesh.precision_terms
+    # every candidate factors its system; the factorization's lazy import is
+    # a cache too, so load it here rather than once in each worker
+    import scipy.sparse.linalg  # noqa: F401
 
     def select_one(k: int) -> SelectionResult:
         return forward_select(obs_by_param[parameters[k]], covariates, mesh=mesh,

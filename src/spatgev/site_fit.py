@@ -366,4 +366,11 @@ def fit_all_sites(records: list[tuple[np.ndarray, np.ndarray]], trend: bool = Tr
             sid = station_ids[i] if station_ids is not None else i
             raise DataError(f"station {sid}: {exc}") from exc
 
+    # numpy loads these submodules on first use (np.median, the restarts'
+    # generator, polyval in the shape series); a lazy import is a cache, so
+    # fill it before the fork rather than once in every worker
+    import numpy.ma  # noqa: F401
+    import numpy.polynomial  # noqa: F401
+    import numpy.random  # noqa: F401
+
     return stack_fits(run_indexed(fit_one, len(records)))

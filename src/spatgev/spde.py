@@ -12,21 +12,25 @@ correlation has fallen to about 0.14.
 
 The mesh covers the convex hull of the observation sites plus a buffer ring so
 that boundary effects stay away from the sites.  Field values at arbitrary
-points come from a sparse barycentric projector.
+points come from a barycentric projector.  scipy is imported by the functions
+that use it: a stored mesh projects points with numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from ._sparse import SymmetricFactor
 from .errors import DataError, NumericalError
+
+if TYPE_CHECKING:
+    from scipy import sparse
+    from scipy.spatial import ConvexHull
 
 __all__ = [
     "MeshOptions",
@@ -41,13 +45,14 @@ __all__ = [
     "precision_logdet_fast",
     "sample_field",
     "projector",
-    "matern_correlation",
     "pc_prior_logdensity",
     "nugget_prior_logdensity",
 ]
 
 # -log(0.05): tail mass of the penalized-complexity calibration
 _PC_TAIL = -math.log(0.05)
+# a barycentric weight this far below zero still counts as inside the triangle
+_INSIDE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,11 @@ class MeshOptions:
 class Mesh:
     """Triangulation with the observation sites as leading nodes.
 
+    Plain arrays: the node coordinates, the triangles as rows of node indices,
+    the number of leading nodes that are sites, and the site cloud diameter.
+    to_dict and from_dict carry it through JSON bit for bit, so a fit directory
+    stores the mesh and later commands need no triangulation.
+
     The finite-element quantities below depend on the triangulation alone, so
     each is computed on first use and then shared by every latent structure
     built on this mesh.
@@ -79,11 +89,32 @@ class Mesh:
     triangles: np.ndarray  # (n_tri, 3) indices into points
     n_sites: int
     diameter: float
-    _tri: Delaunay = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.points.shape[0]
+
+    def to_dict(self) -> dict:
+        """JSON-ready form; floats keep their repr, so they read back exactly."""
+        return {"n_sites": int(self.n_sites), "diameter": float(self.diameter),
+                "points": self.points.tolist(), "triangles": self.triangles.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Mesh":
+        """Inverse of to_dict; raises DataError on a malformed mesh."""
+        try:
+            points = np.array(d["points"], dtype=float)
+            triangles = np.array(d["triangles"], dtype=np.int64)
+            n_sites, diameter = int(d["n_sites"]), float(d["diameter"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed mesh: {exc!r}") from exc
+        if (points.ndim != 2 or points.shape[1] != 2 or not np.all(np.isfinite(points))
+                or triangles.ndim != 2 or triangles.shape[1] != 3
+                or triangles.min(initial=0) < 0
+                or triangles.max(initial=0) >= points.shape[0]
+                or not 0 < n_sites <= points.shape[0]):
+            raise DataError("malformed mesh: points, triangles and n_sites disagree")
+        return cls(points=points, triangles=triangles, n_sites=n_sites, diameter=diameter)
 
     @cached_property
     def fem(self) -> tuple:
@@ -193,6 +224,8 @@ def build_mesh(sites: np.ndarray, options: MeshOptions | None = None) -> Mesh:
     Raises DataError for fewer than three sites, duplicate sites, or a
     degenerate (collinear) configuration.
     """
+    from scipy.spatial import ConvexHull, Delaunay, QhullError
+
     options = options or MeshOptions()
     options.validate()
     sites = np.asarray(sites, dtype=float)
@@ -248,11 +281,13 @@ def build_mesh(sites: np.ndarray, options: MeshOptions | None = None) -> Mesh:
     if not np.all(np.isin(np.arange(sites.shape[0]), used)):
         raise NumericalError("a site was dropped from the triangulation")
     return Mesh(points=points, triangles=tri.simplices, n_sites=sites.shape[0],
-                diameter=diameter, _tri=tri)
+                diameter=diameter)
 
 
 def fem_matrices(mesh: Mesh) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
     """Lumped mass matrix C (diagonal) and stiffness matrix G for linear elements."""
+    from scipy import sparse
+
     pts = mesh.points
     tri = mesh.triangles
     x = pts[tri, 0]
@@ -287,6 +322,8 @@ def precision_matrix(C: sparse.spmatrix, G: sparse.spmatrix, rho: float, s: floa
     """Sparse precision of the Matern (nu=1) field with range rho and sd s."""
     if rho <= 0 or s <= 0:
         raise ValueError("rho and s must be positive")
+    from scipy import sparse
+
     kappa = math.sqrt(8.0) / rho
     tau2 = 1.0 / (4.0 * math.pi * kappa**2 * s**2)
     c_inv = sparse.diags(1.0 / C.diagonal(), format="csc")
@@ -317,6 +354,8 @@ def precision_terms(C: sparse.spmatrix, G: sparse.spmatrix) -> tuple:
     terms.T @ coefficients is the data of precision_matrix on that pattern:
     Q = tau^2 kappa^4 C + 2 tau^2 kappa^2 G + tau^2 G C^-1 G.
     """
+    from scipy import sparse
+
     n = C.shape[0]
     struct = (abs(sparse.csc_matrix(G)) + sparse.identity(n, format="csc")).tocsc()
     struct.data[:] = 1.0
@@ -339,6 +378,8 @@ def precision_coefficients(rho: float, s: float) -> np.ndarray:
 
 def precision_logdet(C: sparse.spmatrix, G: sparse.spmatrix, rho: float, s: float) -> float:
     """log det Q without forming Q: n log tau^2 + 2 log det(kappa^2 C + G) - log det C."""
+    from scipy import sparse
+
     kappa = math.sqrt(8.0) / rho
     tau2 = 1.0 / (4.0 * math.pi * kappa**2 * s**2)
     K = sparse.csc_matrix((kappa**2) * C + G)
@@ -374,46 +415,50 @@ def sample_field(Q: sparse.spmatrix, rng: np.random.Generator, size: int | None 
     return SymmetricFactor(Q).sample(rng, size=size)
 
 
-def projector(mesh: Mesh, points: np.ndarray) -> sparse.csr_matrix:
-    """Sparse matrix mapping node values to values at arbitrary points.
+def projector(mesh: Mesh, points: np.ndarray) -> np.ndarray:
+    """Dense (m, n_nodes) matrix mapping node values to values at the points.
 
-    Each row holds the barycentric weights of the containing triangle: at most
-    three nonzeros, nonnegative, summing to one.  A point that coincides with
-    a node gets an exact unit row.  Points outside the mesh raise DataError.
+    Each row holds the barycentric weights of a triangle containing the point:
+    at most three nonzeros, nonnegative, summing to one.  A point that
+    coincides with a node gets an exact unit row.  Points outside the mesh
+    raise DataError.  Every (point, triangle) pair whose bounding box holds
+    the point is tested at once; a point on an edge or a node lies in several
+    triangles and takes the lowest-numbered one.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    simplex = mesh._tri.find_simplex(points)
-    if np.any(simplex < 0):
-        bad = np.where(simplex < 0)[0]
+    m = points.shape[0]
+    corners = mesh.points[mesh.triangles]  # (n_tri, 3, 2)
+    slack = 1e-12 * mesh.diameter
+    lo, hi = corners.min(axis=1) - slack, corners.max(axis=1) + slack
+    # row-major order: each point's pairs come in increasing triangle number
+    x = points[:, 0, None]
+    pt, tri = np.nonzero((x >= lo[:, 0]) & (x <= hi[:, 0]))
+    y = points[pt, 1]
+    in_box = (y >= lo[tri, 1]) & (y <= hi[tri, 1])
+    pt, tri = pt[in_box], tri[in_box]
+    # the weights w0, w1 of vertices 0 and 1 solve [v0 - v2, v1 - v2] w = p - v2
+    v2 = corners[tri, 2]
+    e0, e1, d = corners[tri, 0] - v2, corners[tri, 1] - v2, points[pt] - v2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = e0[:, 0] * e1[:, 1] - e1[:, 0] * e0[:, 1]
+        w0 = (e1[:, 1] * d[:, 0] - e1[:, 0] * d[:, 1]) / det
+        w1 = (e0[:, 0] * d[:, 1] - e0[:, 1] * d[:, 0]) / det
+    w = np.column_stack([w0, w1, 1.0 - (w0 + w1)])
+    inside = w.min(axis=1) >= -_INSIDE_TOL
+    pt, tri, w = pt[inside], tri[inside], w[inside]
+    found, first = np.unique(pt, return_index=True)  # first pair of each point
+    if found.size < m:
+        bad = np.setdiff1d(np.arange(m), found)
         raise DataError(f"points outside the mesh at rows {bad.tolist()}")
-    T = mesh._tri.transform[simplex]  # (m, 3, 2)
-    bary2 = np.einsum("mij,mj->mi", T[:, :2, :], points - T[:, 2, :])
-    w = np.column_stack([bary2, 1.0 - bary2.sum(axis=1)])
-    w = np.clip(w, 0.0, 1.0)
+    w = np.clip(w[first], 0.0, 1.0)
     w /= w.sum(axis=1, keepdims=True)
     # snap near-unit weights so node points give exact unit rows
     snap = w > 1.0 - 1e-9
     w[snap.any(axis=1)] = 0.0
     w[snap] = 1.0
-    verts = mesh._tri.simplices[simplex]
-    m = points.shape[0]
-    rows = np.repeat(np.arange(m), 3)
-    A = sparse.coo_matrix((w.ravel(), (rows, verts.ravel())), shape=(m, mesh.n_nodes))
-    A = A.tocsr()
-    A.eliminate_zeros()
+    A = np.zeros((m, mesh.n_nodes))
+    A[np.arange(m)[:, None], mesh.triangles[tri[first]]] = w
     return A
-
-
-def matern_correlation(dist, rho: float):
-    """Theoretical Matern (nu=1) correlation at the given distances."""
-    from scipy.special import kv
-
-    dist = np.asarray(dist, dtype=float)
-    kappa = math.sqrt(8.0) / rho
-    kd = kappa * dist
-    with np.errstate(invalid="ignore"):
-        out = np.where(kd > 0.0, kd * kv(1.0, kd), 1.0)
-    return out if out.ndim else float(out)
 
 
 # ----------------------------------------------------------------------------

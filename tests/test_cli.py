@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import spatgev.cli
+import spatgev.evaluate
 import spatgev.spde
 from spatgev.cli import main
 from spatgev.dataio import RunConfig
-from spatgev.dataio import _SCENARIO_KEYS
+from spatgev.dataio import _NESTED_KEYS, _SCENARIO_KEYS
 from spatgev.simulate import Scenario
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -79,6 +80,34 @@ def pipeline(tmp_path_factory):
             "structure": built[-1]}
 
 
+@pytest.fixture(scope="module")
+def spatial_fit(pipeline):
+    """A short fit with a field on psi, on the pipeline's data: its fit
+    directory holds a mesh."""
+    cfg = pipeline["root"] / "spatial_cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "spatial": {"psi": True},
+                               "mcmc": {"n_chains": 1, "n_iterations": 40,
+                                        "n_kept": 10}}))
+    fit = str(pipeline["root"] / "spatial_fit")
+    assert main(["fit", "--config", str(cfg), *pipeline["data"], "--out", fit]) == 0
+    return {"cfg": str(cfg), "fit": fit}
+
+
+def _targets(tmp_path):
+    targets = tmp_path / "targets.csv"
+    targets.write_text("station,x,y,c1,c2\nt001,50.0,50.0,0.5,-0.2\n")
+    return str(targets)
+
+
+def _query_argvs(cfg, data, fit, targets, out_root):
+    """predict, return-levels and aggregate on one fit directory."""
+    common = ["--config", cfg, *data, "--fit", fit]
+    return [["predict", *common, "--out", os.path.join(out_root, "p")],
+            ["return-levels", *common, "--targets", targets,
+             "--out", os.path.join(out_root, "r")],
+            ["aggregate", *common, "--out", os.path.join(out_root, "a")]]
+
+
 class TestSimulate:
     def test_artifacts_and_manifest(self, pipeline):
         sim = pipeline["sim"]
@@ -120,17 +149,19 @@ class TestFitSites:
 class TestFit:
     def test_artifacts(self, pipeline):
         fit = pipeline["fit"]
-        for name in ("max_step.csv", "theta_draws.csv", "theta_summary.csv",
+        for name in ("max_step.csv", "mesh.json", "theta_draws.csv", "theta_summary.csv",
                      "eta_draws.csv", "nu_draws.csv", "latent_summary.csv",
                      "model.json", "manifest.json"):
             assert os.path.exists(os.path.join(fit, name))
         with open(os.path.join(fit, "model.json")) as fh:
             model = json.load(fh)
         manifest = _manifest_without_timestamp(os.path.join(fit, "manifest.json"))
-        for name in ("model.json", "max_step.csv", "theta_draws.csv", "theta_summary.csv",
-                     "eta_draws.csv", "nu_draws.csv"):
+        for name in ("model.json", "max_step.csv", "mesh.json", "theta_draws.csv",
+                     "theta_summary.csv", "eta_draws.csv", "nu_draws.csv"):
             digest = hashlib.sha256(_read(os.path.join(fit, name))).hexdigest()
             assert manifest["outputs"][name] == digest
+        # no field, so no mesh
+        assert _read(os.path.join(fit, "mesh.json")) == b"null\n"
         with open(os.path.join(fit, "max_step.csv")) as fh:
             header = fh.readline().rstrip().split(",")
             n_rows = sum(1 for _ in fh)
@@ -150,10 +181,24 @@ class TestFit:
         out2 = str(pipeline["root"] / "fit2")
         assert main(["fit", "--config", pipeline["cfg"], *pipeline["data"],
                      "--out", out2]) == 0
-        for name in ("max_step.csv", "theta_draws.csv", "eta_draws.csv",
+        for name in ("max_step.csv", "mesh.json", "theta_draws.csv", "eta_draws.csv",
                      "nu_draws.csv", "model.json"):
             assert _read(os.path.join(pipeline["fit"], name)) == \
                 _read(os.path.join(out2, name))
+
+    def test_mesh_file_is_the_fit_mesh(self, pipeline, spatial_fit):
+        with open(os.path.join(spatial_fit["fit"], "mesh.json")) as fh:
+            text = fh.read()
+        assert ", " not in text and ": " not in text  # compact
+        stored = spatgev.spde.Mesh.from_dict(json.loads(text))
+        ds, _ = spatgev.cli._load_inputs(
+            RunConfig.from_json(spatial_fit["cfg"]),
+            spatgev.cli._build_parser().parse_args(
+                ["fit", *pipeline["data"], "--out", "unused"]))
+        built = spatgev.spde.build_mesh(ds.sites)
+        assert np.array_equal(stored.points, built.points)
+        assert np.array_equal(stored.triangles, built.triangles)
+        assert stored.diameter == built.diameter
 
 
 class TestFitDirectory:
@@ -164,18 +209,20 @@ class TestFitDirectory:
         shutil.copytree(pipeline["fit"], fit)
         return fit
 
-    def test_queries_do_not_rerun_max_step(self, pipeline, tmp_path, monkeypatch):
+    def test_queries_do_not_rerun_max_step(self, pipeline, spatial_fit, tmp_path,
+                                           monkeypatch):
+        # nor build the mesh: the fit directory carries it
         def refuse(*args, **kwargs):
-            raise AssertionError("the max step ran again")
+            raise AssertionError("the max step or the mesh ran again")
 
         monkeypatch.setattr(spatgev.cli, "fit_all_sites", refuse)
-        targets = tmp_path / "targets.csv"
-        targets.write_text("station,x,y,c1,c2\nt001,50.0,50.0,0.5,-0.2\n")
-        common = ["--config", pipeline["cfg"], *pipeline["data"], "--fit", pipeline["fit"]]
-        assert main(["predict", *common, "--out", str(tmp_path / "p")]) == 0
-        assert main(["return-levels", *common, "--targets", str(targets),
-                     "--out", str(tmp_path / "r")]) == 0
-        assert main(["aggregate", *common, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(spatgev.cli, "build_mesh", refuse)
+        monkeypatch.setattr(spatgev.spde, "build_mesh", refuse)
+        targets = _targets(tmp_path)
+        for k, fit in enumerate((pipeline, spatial_fit)):
+            for argv in _query_argvs(fit["cfg"], pipeline["data"], fit["fit"], targets,
+                                     str(tmp_path / str(k))):
+                assert main(argv) == 0
 
     def test_structure_rebuilt_bit_for_bit(self, pipeline):
         cfg = RunConfig.from_json(pipeline["cfg"])
@@ -221,27 +268,96 @@ class TestFitDirectory:
         assert err["error"] == "DataError"
         assert "eta_draws.csv" in err["message"]
 
-    def test_queries_skip_field_eigenproblem(self, pipeline, tmp_path, monkeypatch):
+    def test_queries_skip_field_eigenproblem(self, pipeline, spatial_fit, tmp_path,
+                                             monkeypatch):
         # a fit with a field needs the eigenvalues for its likelihood; the
         # queries on it evaluate no likelihood and must not compute them
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**CONFIG, "spatial": {"psi": True},
-                                   "mcmc": {"n_chains": 1, "n_iterations": 40,
-                                            "n_kept": 10}}))
-        fit = str(tmp_path / "fit")
-        common = ["--config", str(cfg), *pipeline["data"]]
-        assert main(["fit", *common, "--out", fit]) == 0
-
         def refuse(*args, **kwargs):
             raise AssertionError("field eigenvalues computed")
 
         monkeypatch.setattr(spatgev.spde, "field_eigenvalues", refuse)
-        targets = tmp_path / "targets.csv"
-        targets.write_text("station,x,y,c1,c2\nt001,50.0,50.0,0.5,-0.2\n")
-        assert main(["predict", *common, "--fit", fit, "--out", str(tmp_path / "p")]) == 0
-        assert main(["return-levels", *common, "--fit", fit, "--targets", str(targets),
-                     "--out", str(tmp_path / "r")]) == 0
-        assert main(["aggregate", *common, "--fit", fit, "--out", str(tmp_path / "a")]) == 0
+        for argv in _query_argvs(spatial_fit["cfg"], pipeline["data"], spatial_fit["fit"],
+                                 _targets(tmp_path), str(tmp_path)):
+            assert main(argv) == 0
+
+    def test_queries_load_no_scipy(self, pipeline, spatial_fit, tmp_path):
+        # a fresh process that imports what the benchmark's child imports and
+        # runs the three queries on a fit with a field loads no scipy module
+        argvs = _query_argvs(spatial_fit["cfg"], pipeline["data"], spatial_fit["fit"],
+                             _targets(tmp_path), str(tmp_path))
+        code = "\n".join([
+            "import importlib, json, sys",
+            "for m in ('cli', 'dataio', 'site_fit', '_sparse', 'spde', 'latent',",
+            "          'selection', 'predict', 'copula', 'evaluate'):",
+            "    importlib.import_module('spatgev.' + m)",
+            "from spatgev.cli import main",
+            f"codes = [main(argv) for argv in {argvs!r}]",
+            "print(json.dumps([codes, sorted(m for m in sys.modules",
+            "                                if m.split('.')[0] == 'scipy')]))",
+        ])
+        src = os.path.dirname(os.path.dirname(spatgev.cli.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True,
+                             timeout=120)
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0, 0], []]
+
+    def _refused(self, capsys, argv, name):
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DataError"
+        assert name in err["message"]
+        return err["message"]
+
+    def _predict(self, fit, cfg, data, tmp_path):
+        return ["predict", "--config", cfg, *data, "--fit", fit,
+                "--out", str(tmp_path / "o")]
+
+    def test_missing_mesh_refused(self, pipeline, tmp_path, capsys):
+        # a fit directory written before the mesh was stored
+        fit = self._copy_fit(pipeline, tmp_path)
+        os.remove(os.path.join(fit, "mesh.json"))
+        self._refused(capsys, self._predict(fit, pipeline["cfg"], pipeline["data"], tmp_path),
+                      "mesh.json")
+
+    def test_tampered_mesh_refused(self, pipeline, spatial_fit, tmp_path, capsys):
+        fit = self._copy_fit(spatial_fit, tmp_path)
+        path = os.path.join(fit, "mesh.json")
+        with open(path) as fh:
+            stored = json.load(fh)
+        stored["points"][-1][0] += 1e-9
+        with open(path, "w") as fh:
+            json.dump(stored, fh, separators=(",", ":"))
+        self._refused(capsys, self._predict(fit, spatial_fit["cfg"], pipeline["data"],
+                                            tmp_path), "mesh.json")
+
+    def test_mesh_of_other_sites_refused(self, pipeline, spatial_fit, tmp_path, capsys):
+        # the same stations at moved coordinates: the stored mesh is not theirs
+        with open(os.path.join(pipeline["sim"], "sites.csv")) as fh:
+            lines = fh.read().splitlines()
+        row = lines[2].split(",")
+        row[1] = repr(float(row[1]) + 1e-6)
+        lines[2] = ",".join(row)
+        sites = tmp_path / "sites.csv"
+        sites.write_text("\n".join(lines) + "\n")
+        data = ["--maxima", pipeline["data"][1], "--sites", str(sites)]
+        message = self._refused(capsys, self._predict(spatial_fit["fit"], spatial_fit["cfg"],
+                                                      data, tmp_path), "mesh.json")
+        assert "site coordinates" in message
+
+    def test_mesh_disagreeing_with_model_refused(self, pipeline, spatial_fit, tmp_path,
+                                                 capsys):
+        # a null mesh for a model with a field, recorded in the manifest
+        fit = self._copy_fit(spatial_fit, tmp_path)
+        path = os.path.join(fit, "mesh.json")
+        with open(path, "w") as fh:
+            fh.write("null\n")
+        with open(os.path.join(fit, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        manifest["outputs"]["mesh.json"] = hashlib.sha256(_read(path)).hexdigest()
+        with open(os.path.join(fit, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh)
+        self._refused(capsys, self._predict(fit, spatial_fit["cfg"], pipeline["data"],
+                                            tmp_path), "mesh.json")
 
     def test_missing_file_refused(self, pipeline, tmp_path, capsys):
         fit = self._copy_fit(pipeline, tmp_path)
@@ -436,16 +552,24 @@ class TestErrorSurface:
         ("simulate", {"seed": "x"}, "seed"),
         ("fit", {"mcmc": {"n_chains": "2"}}, "mcmc.n_chains"),
         ("fit", {"mesh": {"interior_divisor": -1}, "spatial": {"psi": True}}, "mesh"),
+        ("fit", {"priors": {"s0": "x"}, "spatial": {"psi": True}}, "priors.s0"),
+        ("cv", {"cv": {"n_samples": "x"}}, "cv.n_samples"),
+        ("aggregate", {"aggregate": {"n_blocks": "x"}}, "aggregate.n_blocks"),
+        ("predict", {"predict": {"include_nugget": "no"}}, "predict.include_nugget"),
     ])
     def test_wrong_config_type_refused_before_work(self, pipeline, tmp_path, capsys,
                                                    monkeypatch, command, config, key):
         def no_work(*args, **kwargs):
-            raise AssertionError("the max step ran on a bad configuration")
+            raise AssertionError("work ran on a bad configuration")
 
-        monkeypatch.setattr(spatgev.cli, "fit_all_sites", no_work)
+        for module in (spatgev.cli, spatgev.evaluate):
+            monkeypatch.setattr(module, "fit_all_sites", no_work)
+        monkeypatch.setattr(spatgev.cli, "_load_fit", no_work)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))
-        data = pipeline["data"] if command == "fit" else []
+        data = [] if command == "simulate" else pipeline["data"]
+        if command in ("predict", "aggregate"):
+            data = [*data, "--fit", pipeline["fit"]]
         code = main([command, "--config", str(cfg), *data, "--out", str(tmp_path / "o")])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
@@ -470,6 +594,10 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError"
         assert "c2" in err["message"]
+
+    def test_key_types_cover_the_config_schema(self):
+        for key, types in spatgev.cli._KEY_TYPES.items():
+            assert set(types) == _NESTED_KEYS[key]
 
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as exc:

@@ -220,7 +220,7 @@ class TestUngauged:
         pred = predict_ungauged(res, ug, np.random.default_rng(0))
         beta = res.nu_block("psi", "beta")
         u = res.nu_block("psi", "u")
-        a = res.structure.A[site].toarray().ravel()
+        a = res.structure.A[site]
         reg = beta @ X[site] + u @ a
         k = res.structure.theta_names.index("eps_psi")
         eps2 = res.theta_used[:, k] ** 2

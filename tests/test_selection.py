@@ -125,7 +125,7 @@ class TestCvScoreOracle:
         folds = make_folds(25, 5, seed=0)
         score, theta = cv_score(obs, X, True, mesh, folds, config, A=A)
         eps2 = theta[0] ** 2
-        Z = np.hstack([X, A.toarray()])
+        Z = np.hstack([X, A])
         n_nodes = mesh.n_nodes
         Q_nu = np.zeros((1 + n_nodes, 1 + n_nodes))
         Q_nu[0, 0] = 1.0 / SIGMA_BETA**2

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
+from matern_oracle import matern_correlation
 from spatgev.errors import ConfigError
 from spatgev.evaluate import ad_critical_value, anderson_darling, empirical_variogram
 from spatgev.gev import LINK, gev_cdf, shape_forward, trend_inverse
 from spatgev.simulate import Scenario, paper_like_scenario, simulate_dataset
-from spatgev.spde import matern_correlation
 
 
 class TestDeterminism:

@@ -4,13 +4,16 @@ The single-triangle stiffness/mass entries are worked out by hand; the
 correlation value at the range distance is frozen from mpmath.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, sparse
+from scipy import integrate
+from scipy.spatial import Delaunay
 
+from matern_oracle import matern_correlation
 from spatgev._sparse import SymmetricFactor
 from spatgev.errors import DataError
 from spatgev.spde import (
@@ -18,7 +21,6 @@ from spatgev.spde import (
     MeshOptions,
     build_mesh,
     fem_matrices,
-    matern_correlation,
     nugget_prior_logdensity,
     pc_prior_logdensity,
     precision_logdet,
@@ -83,10 +85,7 @@ class TestFemMatrices:
         # unit right triangle: area 1/2, hand-computed entries
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         tri = np.array([[0, 1, 2]])
-        from scipy.spatial import Delaunay
-
-        mesh = Mesh(points=pts, triangles=tri, n_sites=3, diameter=math.sqrt(2.0),
-                    _tri=Delaunay(pts))
+        mesh = Mesh(points=pts, triangles=tri, n_sites=3, diameter=math.sqrt(2.0))
         C, G = fem_matrices(mesh)
         assert_allclose(C.diagonal(), [1.0 / 6.0] * 3, rtol=1e-14)
         expected_G = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
@@ -170,18 +169,46 @@ class TestProjector:
         sites = _sites()
         mesh = build_mesh(sites)
         A = projector(mesh, sites)
-        eye = sparse.identity(mesh.n_nodes, format="csr")[: len(sites)]
-        assert np.abs((A - eye).toarray()).max() == 0.0
+        assert np.array_equal(A, np.eye(mesh.n_nodes)[: len(sites)])
+
+    def test_node_rows_are_unit(self):
+        # every node, sites, interior grid and buffer ring alike, lies on
+        # several triangles and still gets an exact unit row
+        mesh = build_mesh(_sites())
+        assert np.array_equal(projector(mesh, mesh.points), np.eye(mesh.n_nodes))
 
     def test_rows_are_barycentric(self):
         mesh = build_mesh(_sites())
         rng = np.random.default_rng(17)
         pts = rng.uniform(2.0, 8.0, size=(50, 2))
         A = projector(mesh, pts)
-        row_sums = np.asarray(A.sum(axis=1)).ravel()
-        assert_allclose(row_sums, 1.0, atol=1e-12)
-        assert A.data.min() >= 0.0
-        assert np.all(np.diff(A.indptr) <= 3)
+        assert A.shape == (50, mesh.n_nodes)
+        assert_allclose(A.sum(axis=1), 1.0, atol=1e-12)
+        assert A.min() >= 0.0
+        assert np.all(np.count_nonzero(A, axis=1) <= 3)
+        # the nonzeros sit on the vertices of one triangle
+        tri_sets = {frozenset(t) for t in mesh.triangles.tolist()}
+        for row in A:
+            nz = frozenset(np.flatnonzero(row).tolist())
+            assert any(nz <= t for t in tri_sets)
+
+    @pytest.mark.parametrize("n_sites, seed", [(40, 31), (120, 7)])
+    def test_matches_qhull_weights(self, n_sites, seed):
+        # oracle: Qhull's point location and barycentric transform on the
+        # same triangulation
+        mesh = build_mesh(_sites(n=n_sites, seed=seed))
+        tri = Delaunay(mesh.points)
+        assert np.array_equal(tri.simplices, mesh.triangles)
+        rng = np.random.default_rng(seed + 1)
+        pts = rng.uniform(0.5, 9.5, size=(1000, 2))
+        simplex = tri.find_simplex(pts)
+        assert np.all(simplex >= 0)
+        T = tri.transform[simplex]
+        bary2 = np.einsum("mij,mj->mi", T[:, :2, :], pts - T[:, 2, :])
+        expected = np.zeros((pts.shape[0], mesh.n_nodes))
+        expected[np.arange(pts.shape[0])[:, None], tri.simplices[simplex]] = np.column_stack(
+            [bary2, 1.0 - bary2.sum(axis=1)])
+        assert np.abs(projector(mesh, pts) - expected).max() <= 1e-12
 
     def test_exact_for_linear_functions(self):
         mesh = build_mesh(_sites())
@@ -193,8 +220,27 @@ class TestProjector:
 
     def test_outside_mesh_raises(self):
         mesh = build_mesh(_sites())
-        with pytest.raises(DataError):
-            projector(mesh, np.array([[1e6, 1e6]]))
+        with pytest.raises(DataError, match=r"rows \[1\]"):
+            projector(mesh, np.array([[5.0, 5.0], [1e6, 1e6]]))
+
+    def test_stored_mesh_projects_alike(self):
+        # the JSON form keeps every float, so a mesh read back projects the
+        # same bits as the one built
+        mesh = build_mesh(_sites())
+        back = Mesh.from_dict(json.loads(json.dumps(mesh.to_dict())))
+        assert np.array_equal(back.points, mesh.points)
+        assert np.array_equal(back.triangles, mesh.triangles)
+        assert (back.n_sites, back.diameter) == (mesh.n_sites, mesh.diameter)
+        pts = np.random.default_rng(19).uniform(2.0, 8.0, size=(20, 2))
+        assert np.array_equal(projector(back, pts), projector(mesh, pts))
+
+    def test_malformed_stored_mesh_refused(self):
+        d = build_mesh(_sites()).to_dict()
+        for bad in ({**d, "triangles": [[0, 1, len(d["points"])]]},
+                    {**d, "points": [[0.0, 1.0, 2.0]]},
+                    {k: v for k, v in d.items() if k != "n_sites"}):
+            with pytest.raises(DataError):
+                Mesh.from_dict(bad)
 
 
 class TestPcPriors:

@@ -1,13 +1,17 @@
 """The forked-worker map: order, placement, errors and clean-up."""
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from spatgev import _workers
 from spatgev._workers import run_indexed
+from spatgev.cli import main
 from spatgev.errors import DataError
 
 
@@ -80,3 +84,50 @@ def test_a_dead_worker_raises_instead_of_hanging(two_cores):
     with pytest.raises(BrokenProcessPool):
         run_indexed(task, 4)
     assert multiprocessing.active_children() == []
+
+
+_PROBE = """
+import json, os, sys
+import spatgev.cli, spatgev.latent, spatgev.selection, spatgev.site_fit
+
+new_imports = []
+
+def probe(task, n):
+    # the serial loop, recording the modules the tasks import: a forked
+    # worker would import each of them again
+    before = set(sys.modules)
+    out = [task(i) for i in range(n)]
+    new_imports.append(sorted(set(sys.modules) - before))
+    return out
+
+for module in (spatgev.site_fit, spatgev.latent, spatgev.selection):
+    module.run_indexed = probe
+root = sys.argv[1]
+data = ["--maxima", os.path.join(root, "sim", "maxima.csv"),
+        "--sites", os.path.join(root, "sim", "sites.csv")]
+codes = [spatgev.cli.main([command, "--config", os.path.join(root, "cfg.json"), *data,
+                           "--out", os.path.join(root, command)])
+         for command in ("select", "fit")]
+print(json.dumps([codes, new_imports]))
+"""
+
+
+def test_tasks_import_nothing_the_caller_has_not(tmp_path):
+    # a lazy import is a lazy cache: select, fit and their max steps import
+    # what their tasks use before run_indexed forks, so no worker imports it;
+    # the data come from another process, since simulating imports scipy
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 2, "transform_descriptors": False, "spatial": {"psi": True},
+        "scenario": {"n_sites": 14, "record_length": 30},
+        "selection": {"n_folds": 3, "grid_size": 2},
+        "mcmc": {"n_chains": 2, "n_iterations": 40, "n_kept": 10}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    src = os.path.dirname(os.path.dirname(_workers.__file__))
+    out = subprocess.run([sys.executable, "-c", _PROBE, str(tmp_path)],
+                         capture_output=True, text=True, check=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src})
+    codes, new_imports = json.loads(out.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0]
+    # the max step and selection of select, then the max step and chains of fit
+    assert new_imports == [[], [], [], []]
