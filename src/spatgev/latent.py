@@ -19,11 +19,16 @@ nu has the collapsed posterior precision P = Q_nu + Z' W Z.  Its factor gives
 the marginal likelihood and the draw nu ~ N(P^-1 Z' W eta_hat, P^-1); each
 site's eta_i | nu is then a q x q Gaussian with precision
 Q_i + diag(sigma_eps^-2), drawn for all sites at once.  P keeps one sparsity
-pattern for every theta: the pattern, its fill-reducing order and the linear
-maps from theta's coefficients and the W blocks to P's values are built once
-per structure, so each theta costs two sparse mat-vecs and one factorization.
+pattern for every theta.  Its field nodes couple only to mesh neighbours and
+to the nodes around the same sites, while the few beta columns couple to
+almost everything, so P is stored in arrow form (_sparse.ArrowLayout): the
+field nodes in reverse Cuthill-McKee order form a narrow band, and the beta
+columns come last.  The layout and the linear maps from theta's coefficients
+and the W blocks to P's stored values are built once per structure, so each
+theta costs two sparse mat-vecs and one banded Cholesky factorization
+(_sparse.ArrowFactor).
 
-Building a structure needs numpy only.  The sparse design Z, the patterns and
+Building a structure needs numpy only.  The sparse design Z, the layout and
 the factor import scipy when first used, so commands that read draws from a
 fit directory and evaluate no likelihood never load it.
 """
@@ -37,7 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._sparse import SymmetricFactor, fill_reducing_order
+from ._sparse import ArrowFactor, ArrowLayout, arrow_layout
 from ._workers import run_indexed
 from .errors import ConfigError, NumericalError
 from .site_fit import StackedFits
@@ -83,42 +88,20 @@ class ParamModel:
 
 @dataclass(frozen=True)
 class _FixedPattern:
-    """A symmetric sparsity pattern whose values are linear in a few inputs.
+    """P's stored values as linear maps of a few inputs.
 
-    The matrix has data coef_map @ coef (+ w_map @ w) on the csc pattern
-    (indptr, indices).  When order is set, the pattern is stored permuted by
-    that fill-reducing order, ready for SymmetricFactor(..., order=order).
+    coef_map @ coef + w_map @ w is the storage vector of layout, P's arrow
+    layout, for Q_nu's coefficients coef and the flattened W blocks w.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    layout: ArrowLayout
     coef_map: sparse.csr_matrix
-    w_map: sparse.csr_matrix | None = None
-    order: np.ndarray | None = None
+    w_map: sparse.csr_matrix
 
-    def matrix(self, coef: np.ndarray, w: np.ndarray | None = None) -> sparse.csc_matrix:
-        from scipy import sparse
-
-        data = self.coef_map @ coef
-        if w is not None:
-            data += self.w_map @ w
-        n = self.indptr.size - 1
-        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-
-def _pattern(n: int, rows: np.ndarray, cols: np.ndarray,
-             order: np.ndarray | None = None) -> tuple:
-    """csc pattern (indptr, indices) of the entries and each entry's data slot.
-
-    Repeated (row, col) pairs share a slot.  With an order, the pattern is
-    that of the matrix permuted to M[order][:, order].
-    """
-    if order is not None:
-        new_index = np.argsort(order)
-        rows, cols = new_index[rows], new_index[cols]
-    keys, slot = np.unique(cols * n + rows, return_inverse=True)
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return indptr, keys % n, slot
+    def factor(self, coef: np.ndarray, w: np.ndarray) -> ArrowFactor:
+        values = self.coef_map @ coef
+        values += self.w_map @ w
+        return ArrowFactor(self.layout, values)
 
 
 @dataclass
@@ -214,22 +197,17 @@ class LatentStructure:
         return tuple(np.concatenate(x) for x in (rows, cols, coef, vals)) + (1 + 3 * n_fields,)
 
     @cached_property
-    def _q_nu_pattern(self) -> _FixedPattern:
-        from scipy import sparse
-
-        rows, cols, coef, vals, n_coef = self._q_nu_entries()
-        indptr, indices, slot = _pattern(self.n_nu, rows, cols)
-        coef_map = sparse.csr_matrix((vals, (slot, coef)), shape=(indices.size, n_coef))
-        return _FixedPattern(indptr, indices, coef_map)
-
-    @cached_property
     def _p_pattern(self) -> _FixedPattern:
-        """P = Q_nu + Z' W Z on one fixed pattern, stored in fill-reducing order.
+        """P = Q_nu + Z' W Z on one fixed pattern, in arrow storage.
 
         (Z' W Z)[r, s] sums Z[a J + i, r] W_i[a, b] Z[b J + i, s] over sites i
         and parameters a, b, so every pair of nonzeros of Z in the rows of
         one site adds value Z[.., r] Z[.., s] times W.ravel()[(i q + a) q + b].
-        Entries whose values cancel stay in the pattern as explicit zeros.
+        The field nodes of all fields form the band, in reverse Cuthill-McKee
+        order, and the beta columns the dense block (_sparse.arrow_layout);
+        the maps write each entry's value straight into its storage slot, the
+        lower triangle's only.  Entries whose values cancel stay in the
+        storage as explicit zeros.
         """
         from scipy import sparse
 
@@ -250,17 +228,19 @@ class LatentStructure:
         w_index = (site[first] * q + param[first]) * q + param[second]
         vals_w = z_val[first] * z_val[second]
 
-        n = self.n_nu
-        rows = np.concatenate([rows_q, rows_w])
-        cols = np.concatenate([cols_q, cols_w])
-        indptr, indices, _ = _pattern(n, rows, cols)
-        order = fill_reducing_order(sparse.csc_matrix(
-            (np.ones(indices.size), indices, indptr), shape=(n, n)))
-        indptr, indices, slot = _pattern(n, rows, cols, order)
-        nnz, n_q = indices.size, rows_q.size
-        coef_map = sparse.csr_matrix((vals_q, (slot[:n_q], coef)), shape=(nnz, n_coef))
-        w_map = sparse.csr_matrix((vals_w, (slot[n_q:], w_index)), shape=(nnz, J * q * q))
-        return _FixedPattern(indptr, indices, coef_map, w_map, order)
+        dense = np.ones(self.n_nu, dtype=bool)
+        for part in self.nu_slices.values():
+            if "u" in part:
+                dense[part["u"]] = False
+        layout, slot = arrow_layout(np.concatenate([rows_q, rows_w]),
+                                    np.concatenate([cols_q, cols_w]), dense)
+        slot_q, slot_w = slot[:rows_q.size], slot[rows_q.size:]
+        kept_q, kept_w = slot_q >= 0, slot_w >= 0
+        coef_map = sparse.csr_matrix((vals_q[kept_q], (slot_q[kept_q], coef[kept_q])),
+                                     shape=(layout.size, n_coef))
+        w_map = sparse.csr_matrix((vals_w[kept_w], (slot_w[kept_w], w_index[kept_w])),
+                                  shape=(layout.size, J * q * q))
+        return _FixedPattern(layout, coef_map, w_map)
 
     @property
     def n_sites(self) -> int:
@@ -304,7 +284,11 @@ class LatentStructure:
 
     def q_nu(self, theta: np.ndarray) -> sparse.csc_matrix:
         """Prior precision of nu = (beta_l, u_l)_l at the given theta."""
-        return self._q_nu_pattern.matrix(self.q_nu_coefficients(theta))
+        from scipy import sparse
+
+        rows, cols, coef, vals, _ = self._q_nu_entries()
+        return sparse.csc_matrix((vals * self.q_nu_coefficients(theta)[coef], (rows, cols)),
+                                 shape=(self.n_nu, self.n_nu))
 
     def logdet_q_nu(self, theta: np.ndarray) -> float:
         out = 0.0
@@ -394,19 +378,18 @@ def _w_blocks(structure: LatentStructure, theta: np.ndarray, drop=None):
 def _collapsed_system(structure: LatentStructure, theta: np.ndarray, drop=None):
     """Factor of P = Q_nu + Z' W Z and the shift Z' W eta_hat at theta.
 
-    P's values are written into its fixed pattern by two sparse mat-vecs.
-    Also returns eta_hat' W eta_hat and log det W.  The sites in drop (the
-    held-out sites of a cross-validation fold) get zero W blocks, so all four
-    describe the system of the other sites.  Raises NumericalError when P is
-    not positive definite.
+    P's values are written into its arrow storage by two sparse mat-vecs and
+    factored there (_sparse.ArrowFactor).  Also returns eta_hat' W eta_hat
+    and log det W.  The sites in drop (the held-out sites of a
+    cross-validation fold) get zero W blocks, so all four describe the
+    system of the other sites.  Raises NumericalError when P is not
+    positive definite.
     """
     W, logdet_w = _w_blocks(structure, theta, drop)
-    pattern = structure._p_pattern
-    P = pattern.matrix(structure.q_nu_coefficients(theta), W.ravel())
+    fac = structure._p_pattern.factor(structure.q_nu_coefficients(theta), W.ravel())
     q, J = structure.n_params, structure.n_sites
     w_eta = np.einsum("jab,bj->aj", W, structure.eta_hat.reshape(q, J)).ravel()
-    return (SymmetricFactor(P, order=pattern.order), structure.Z.T @ w_eta,
-            float(structure.eta_hat @ w_eta), logdet_w)
+    return (fac, structure.Z.T @ w_eta, float(structure.eta_hat @ w_eta), logdet_w)
 
 
 def marginal_loglik(structure: LatentStructure, theta: np.ndarray) -> float:
@@ -616,7 +599,10 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
 
     # fill the caches that every likelihood call reads before the workers
     # fork, so they share them and sample_latent finds them here; filled
-    # directly, since a log_post call would count as a likelihood evaluation
+    # directly, since a log_post call would count as a likelihood evaluation.
+    # The factor's LAPACK module is such a cache too.
+    import scipy.linalg.lapack  # noqa: F401
+
     _ = structure._p_pattern
     if any(pm.spatial for pm in structure.params):
         _ = structure.mesh.field_spectrum

@@ -14,7 +14,7 @@ from a posterior grid, then held fixed across folds; refitting them inside
 every fold would multiply the cost tenfold for no measurable change in the
 ranking.  Each fold reuses the candidate structure's one Gaussian system
 (latent._collapsed_system) with the held-out sites' weights set to zero, so
-its pattern and fill-reducing order are built once per candidate.
+its pattern and arrow layout are built once per candidate.
 """
 
 from __future__ import annotations
@@ -295,9 +295,10 @@ def select_all(stacked: StackedFits, covariates: dict,
     if mesh is not None:
         # every spatial candidate reads these; fill them once, before the fork
         _ = mesh.field_spectrum, mesh.precision_terms
-    # every candidate factors its system; the factorization's lazy import is
-    # a cache too, so load it here rather than once in each worker
-    import scipy.sparse.linalg  # noqa: F401
+    # every candidate orders and factors its system; their lazy imports are
+    # caches too, so load them here rather than once in each worker
+    import scipy.linalg.lapack  # noqa: F401
+    import scipy.sparse.csgraph  # noqa: F401
 
     def select_one(k: int) -> SelectionResult:
         return forward_select(obs_by_param[parameters[k]], covariates, mesh=mesh,

@@ -40,7 +40,6 @@ __all__ = [
     "precision_matrix",
     "precision_terms",
     "precision_coefficients",
-    "precision_logdet",
     "field_eigenvalues",
     "precision_logdet_fast",
     "sample_field",
@@ -376,19 +375,6 @@ def precision_coefficients(rho: float, s: float) -> np.ndarray:
     return np.array([tau2 * kappa2**2, 2.0 * tau2 * kappa2, tau2])
 
 
-def precision_logdet(C: sparse.spmatrix, G: sparse.spmatrix, rho: float, s: float) -> float:
-    """log det Q without forming Q: n log tau^2 + 2 log det(kappa^2 C + G) - log det C."""
-    from scipy import sparse
-
-    kappa = math.sqrt(8.0) / rho
-    tau2 = 1.0 / (4.0 * math.pi * kappa**2 * s**2)
-    K = sparse.csc_matrix((kappa**2) * C + G)
-    n = C.shape[0]
-    return n * math.log(tau2) + 2.0 * SymmetricFactor(K).logdet - float(
-        np.sum(np.log(C.diagonal()))
-    )
-
-
 def field_eigenvalues(C: sparse.spmatrix, G: sparse.spmatrix) -> np.ndarray:
     """Eigenvalues of C^-1/2 G C^-1/2, precomputed once per mesh.
 
@@ -403,7 +389,7 @@ def field_eigenvalues(C: sparse.spmatrix, G: sparse.spmatrix) -> np.ndarray:
 
 
 def precision_logdet_fast(lam: np.ndarray, logdet_c: float, rho: float, s: float) -> float:
-    """log det Q from precomputed eigenvalues (same value as precision_logdet)."""
+    """log det Q from precomputed eigenvalues."""
     n = lam.shape[0]
     kappa2 = 8.0 / rho**2
     tau2 = 1.0 / (4.0 * math.pi * kappa2 * s**2)

@@ -186,6 +186,36 @@ class TestFit:
             assert _read(os.path.join(pipeline["fit"], name)) == \
                 _read(os.path.join(out2, name))
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_draws_equal_on_one_cpu_and_all(self, pipeline, tmp_path):
+        # a fresh fit with fields on psi and tau pinned to one CPU with one
+        # BLAS thread (serial chains) and one unpinned (forked chains, the
+        # default BLAS threads) write the same draws, bit for bit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, "spatial": {"psi": True, "tau": True},
+                                   "mcmc": {"n_chains": 2, "n_iterations": 60,
+                                            "n_kept": 10}}))
+        code = "\n".join([
+            "import os, sys",
+            "if sys.argv[1] == 'pinned':",
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+            "from spatgev.cli import main",
+            "sys.exit(main(sys.argv[2:]))",
+        ])
+        src = os.path.dirname(os.path.dirname(spatgev.cli.__file__))
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        base = {k: v for k, v in os.environ.items() if k not in blas}
+        for how in ("pinned", "unpinned"):
+            env = {**base, "PYTHONPATH": src}
+            if how == "pinned":
+                env["OPENBLAS_NUM_THREADS"] = "1"
+            subprocess.run([sys.executable, "-c", code, how, "fit", "--config", str(cfg),
+                            *pipeline["data"], "--out", str(tmp_path / how)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        for name in ("theta_draws.csv", "eta_draws.csv", "nu_draws.csv"):
+            assert _read(str(tmp_path / "pinned" / name)) == \
+                _read(str(tmp_path / "unpinned" / name)), name
+
     def test_mesh_file_is_the_fit_mesh(self, pipeline, spatial_fit):
         with open(os.path.join(spatial_fit["fit"], "mesh.json")) as fh:
             text = fh.read()

@@ -168,6 +168,38 @@ def _fixed_pattern_cases():
     return [(st, np.exp(rng.uniform(-2.5, 1.0, size=(3, st.n_theta)))) for st in (one, two)]
 
 
+def _dense_system(st, theta, drop=None):
+    """Dense P = Q_nu + Z' W Z, W and the W blocks, the sites in drop at zero weight."""
+    J, q = st.n_sites, st.n_params
+    W_blocks = np.linalg.inv(st._cov_blocks + np.diag(st.sigma_eps2_by_param(theta)))
+    if drop is not None:
+        W_blocks[drop] = 0.0
+    W = np.zeros((q * J, q * J))
+    for i in range(J):
+        idx = np.arange(q) * J + i
+        W[np.ix_(idx, idx)] = W_blocks[i]
+    Z = st.Z.toarray()
+    return st.q_nu(theta).toarray() + Z.T @ W @ Z, W, W_blocks
+
+
+def _arrow_matrix(layout, values):
+    """The symmetric matrix, in the original order, that arrow storage values holds."""
+    nb, kd, p = layout.n_band, layout.bandwidth, layout.n_dense
+    band = values[:(kd + 1) * nb].reshape((kd + 1, nb), order="F")
+    arm = values[(kd + 1) * nb:(kd + 1 + p) * nb].reshape((nb, p), order="F")
+    tip = values[(kd + 1 + p) * nb:].reshape(p, p)
+    assert not np.any(np.triu(tip, 1))
+    lower = np.zeros((nb + p, nb + p))
+    for d in range(kd + 1):
+        j = np.arange(nb - d)
+        lower[j + d, j] = band[d, :nb - d]
+        assert not np.any(band[d, nb - d:])  # slots past the matrix's corner stay empty
+    lower[nb:, :nb] = arm.T
+    lower[nb:, nb:] = tip
+    back = np.argsort(layout.order)
+    return (lower + np.tril(lower, -1).T)[np.ix_(back, back)]
+
+
 class TestFixedPattern:
     def test_q_nu_matches_block_diag_of_field_precisions(self):
         for st, thetas in _fixed_pattern_cases():
@@ -185,19 +217,18 @@ class TestFixedPattern:
 
     def test_mapped_p_matches_dense(self):
         for st, thetas in _fixed_pattern_cases():
-            J, q = st.n_sites, st.n_params
             Z = st.Z.toarray()
+            pattern = st._p_pattern
+            layout = pattern.layout
+            # the field nodes of both fields form the band, the betas come last
+            betas = np.concatenate([np.arange(st.n_nu)[part["beta"]]
+                                    for part in st.nu_slices.values()])
+            assert np.array_equal(np.sort(layout.order[layout.n_band:]), betas)
             for theta in thetas:
-                W_blocks = np.linalg.inv(st._cov_blocks + np.diag(st.sigma_eps2_by_param(theta)))
-                W = np.zeros((q * J, q * J))
-                for i in range(J):
-                    idx = np.arange(q) * J + i
-                    W[np.ix_(idx, idx)] = W_blocks[i]
-                P_ref = st.q_nu(theta).toarray() + Z.T @ W @ Z
-                pattern = st._p_pattern
-                back = np.argsort(pattern.order)
-                P = pattern.matrix(st.q_nu_coefficients(theta), W_blocks.ravel()).toarray()
-                assert_allclose(P[np.ix_(back, back)], P_ref, rtol=1e-12)
+                P_ref, W, W_blocks = _dense_system(st, theta)
+                values = (pattern.coef_map @ st.q_nu_coefficients(theta)
+                          + pattern.w_map @ W_blocks.ravel())
+                assert_allclose(_arrow_matrix(layout, values), P_ref, rtol=1e-12)
                 fac, rhs, eta_w_eta, logdet_w = _collapsed_system(st, theta)
                 assert_allclose(rhs, Z.T @ W @ st.eta_hat, rtol=1e-12)
                 assert_allclose(eta_w_eta, st.eta_hat @ W @ st.eta_hat, rtol=1e-12)
@@ -266,6 +297,59 @@ class TestDroppedSites:
                 assert np.array_equal(fac_e.solve(rhs_e), fac.solve(rhs))
                 assert (fac_e.logdet, eta_w_eta_e, logdet_w_e) == (fac.logdet, eta_w_eta,
                                                                   logdet_w)
+
+
+class TestArrowSystem:
+    """The arrow factor of P against dense references, with and without fields."""
+
+    @staticmethod
+    def _cases():
+        stacked, _, rng = _stacked(6, 54)
+        none = build_structure(stacked, designs={}, spatial={})
+        cases = [(none, np.exp(rng.uniform(-2.5, 1.0, size=(2, none.n_theta))))]
+        return cases + _fixed_pattern_cases()
+
+    def test_logdet_solve_and_transform_match_dense(self):
+        # with no field the band is empty; the folds' drop= system included
+        for st, thetas in self._cases():
+            for theta in thetas:
+                for drop in (None, np.array([1, 4])):
+                    fac, rhs, _, _ = _collapsed_system(st, theta, drop=drop)
+                    P = _dense_system(st, theta, drop)[0]
+                    assert_allclose(fac.logdet, np.linalg.slogdet(P)[1], rtol=1e-10)
+                    b = np.random.default_rng(3).standard_normal(st.n_nu)
+                    assert_allclose(fac.solve(b), np.linalg.solve(P, b), rtol=1e-8)
+                    assert_allclose(fac.solve(rhs), np.linalg.solve(P, rhs), rtol=1e-8)
+                    # the draws' covariance, exactly: T' T = sum_k x_k x_k' = P^-1
+                    T = fac.transform(np.eye(st.n_nu))
+                    ref = np.linalg.inv(P)
+                    assert_allclose(T.T @ T, ref, rtol=1e-8, atol=1e-12 * np.abs(ref).max())
+
+    def test_not_positive_definite_is_a_numerical_error(self, monkeypatch):
+        for st, thetas in self._cases():
+            theta = thetas[0]
+            pattern = st._p_pattern
+            coef = st.q_nu_coefficients(theta)
+            w = np.zeros(st.n_sites * st.n_params**2)
+            if pattern.layout.n_band:
+                with pytest.raises(NumericalError, match="dpbtrf"):
+                    pattern.factor(-coef, w)
+            beta_negative = coef.copy()
+            beta_negative[0] = -1.0
+            with pytest.raises(NumericalError, match="Schur"):
+                pattern.factor(beta_negative, w)
+            with pytest.raises(NumericalError):
+                pattern.factor(np.full_like(coef, np.nan), w)
+            assert np.isfinite(marginal_loglik(st, theta))
+            monkeypatch.setattr(st, "q_nu_coefficients", lambda theta: -1e6 * coef)
+            assert marginal_loglik(st, theta) == -np.inf
+
+    def test_pickled_layout_is_bit_equal(self):
+        for st, thetas in self._cases():
+            before = marginal_loglik(st, thetas[0])
+            copy = pickle.loads(pickle.dumps(st))
+            assert np.array_equal(copy._p_pattern.layout.order, st._p_pattern.layout.order)
+            assert marginal_loglik(copy, thetas[0]) == before
 
 
 class TestConditionalSampling:

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spatgev import latent
-from spatgev._sparse import SymmetricFactor
+from spatgev._sparse import ArrowFactor
 from spatgev.errors import ConfigError
 from spatgev.gev import GevParams, gev_sample
 from spatgev.selection import (
@@ -142,27 +142,28 @@ class TestCvScoreOracle:
 
     def test_folds_reuse_the_structure_order(self, monkeypatch):
         # the folds factor the candidate's one system with the held-out
-        # weights at zero: one fill-reducing order per candidate, none per fold
+        # weights at zero: one arrow layout (and its reverse Cuthill-McKee
+        # order) per candidate, none per fold
         rng = np.random.default_rng(9)
         sites = rng.uniform(0.0, 10.0, size=(25, 2))
         mesh = build_mesh(sites)
         obs = UnivariateObs(name="psi", eta=rng.normal(size=25), var=np.full(25, 0.01))
-        orders, n_ordered = [], []
-        init = SymmetricFactor.__init__
-        fill_order = latent.fill_reducing_order
+        layouts, n_ordered = [], []
+        init = ArrowFactor.__init__
+        order = latent.arrow_layout
 
-        def recorded(self, Q, order=None):
-            orders.append(order)
-            init(self, Q, order)
+        def recorded(self, layout, values):
+            layouts.append(layout)
+            init(self, layout, values)
 
-        monkeypatch.setattr(SymmetricFactor, "__init__", recorded)
-        monkeypatch.setattr(latent, "fill_reducing_order",
-                            lambda *args: n_ordered.append(1) or fill_order(*args))
+        monkeypatch.setattr(ArrowFactor, "__init__", recorded)
+        monkeypatch.setattr(latent, "arrow_layout",
+                            lambda *args: n_ordered.append(1) or order(*args))
         folds = make_folds(25, 5, seed=0)
         cv_score(obs, np.ones((25, 1)), True, mesh, folds,
                  SelectionConfig(n_folds=5, grid_size=2), A=projector(mesh, sites))
-        assert len(orders) == 2**3 + 5  # the grid, then the folds
-        assert all(order is not None for order in orders)
+        assert len(layouts) == 2**3 + 5  # the grid, then the folds
+        assert all(layout is layouts[0] for layout in layouts)
         assert len(n_ordered) == 1
 
 
