@@ -152,10 +152,6 @@ class ArrowFactor:
         if not np.isfinite(self.logdet):
             raise NumericalError("factor has a non-finite diagonal")
 
-    @property
-    def n(self) -> int:
-        return self.layout.order.size
-
     def _forward(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b in the layout's order."""
         from scipy.linalg import lapack
@@ -185,6 +181,11 @@ class ArrowFactor:
         bottom = self._arm.T @ x[:nb] + blas.dsymv(1.0, self._tip, x[nb:], lower=1)
         return np.concatenate([top, bottom])
 
+    def inv_quad(self, b: np.ndarray) -> float:
+        """b' P^-1 b for a vector b, as the squared norm of L^-1 b."""
+        y = self._forward(np.asarray(b, dtype=float)[self.layout.order])
+        return float(y @ y)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve P x = b for a vector b.
 
@@ -207,7 +208,7 @@ class ArrowFactor:
         Row k of the output is L'^-1 applied to row k of z alone, so its bits
         do not depend on m.
         """
-        out = np.empty((z.shape[0], self.n))
+        out = np.empty((z.shape[0], self.layout.order.size))
         for k, row in enumerate(z):
             out[k, self.layout.order] = self._backward(row)
         return out

@@ -90,17 +90,19 @@ class ParamModel:
 class _FixedPattern:
     """P's stored values as linear maps of a few inputs.
 
-    coef_map @ coef + w_map @ w is the storage vector of layout, P's arrow
-    layout, for Q_nu's coefficients coef and the flattened W blocks w.
+    The storage vector of P's arrow layout is zero except at the indices
+    slots, which hold coef_map @ coef + w_map @ w for Q_nu's coefficients
+    coef and the flattened W blocks w.
     """
 
     layout: ArrowLayout
+    slots: np.ndarray
     coef_map: sparse.csr_matrix
     w_map: sparse.csr_matrix
 
     def factor(self, coef: np.ndarray, w: np.ndarray) -> ArrowFactor:
-        values = self.coef_map @ coef
-        values += self.w_map @ w
+        values = np.zeros(self.layout.size)
+        values[self.slots] = self.coef_map @ coef + self.w_map @ w
         return ArrowFactor(self.layout, values)
 
 
@@ -205,9 +207,8 @@ class LatentStructure:
         one site adds value Z[.., r] Z[.., s] times W.ravel()[(i q + a) q + b].
         The field nodes of all fields form the band, in reverse Cuthill-McKee
         order, and the beta columns the dense block (_sparse.arrow_layout);
-        the maps write each entry's value straight into its storage slot, the
-        lower triangle's only.  Entries whose values cancel stay in the
-        storage as explicit zeros.
+        the maps give each of the lower triangle's storage slots its value.
+        Entries whose values cancel stay in the storage as explicit zeros.
         """
         from scipy import sparse
 
@@ -234,13 +235,14 @@ class LatentStructure:
                 dense[part["u"]] = False
         layout, slot = arrow_layout(np.concatenate([rows_q, rows_w]),
                                     np.concatenate([cols_q, cols_w]), dense)
-        slot_q, slot_w = slot[:rows_q.size], slot[rows_q.size:]
-        kept_q, kept_w = slot_q >= 0, slot_w >= 0
-        coef_map = sparse.csr_matrix((vals_q[kept_q], (slot_q[kept_q], coef[kept_q])),
-                                     shape=(layout.size, n_coef))
-        w_map = sparse.csr_matrix((vals_w[kept_w], (slot_w[kept_w], w_index[kept_w])),
-                                  shape=(layout.size, J * q * q))
-        return _FixedPattern(layout, coef_map, w_map)
+        kept_q, kept_w = slot[:rows_q.size] >= 0, slot[rows_q.size:] >= 0
+        slots, row = np.unique(slot[slot >= 0], return_inverse=True)
+        n_q = np.count_nonzero(kept_q)
+        coef_map = sparse.csr_matrix((vals_q[kept_q], (row[:n_q], coef[kept_q])),
+                                     shape=(slots.size, n_coef))
+        w_map = sparse.csr_matrix((vals_w[kept_w], (row[n_q:], w_index[kept_w])),
+                                  shape=(slots.size, J * q * q))
+        return _FixedPattern(layout, slots, coef_map, w_map)
 
     @property
     def n_sites(self) -> int:
@@ -402,8 +404,7 @@ def marginal_loglik(structure: LatentStructure, theta: np.ndarray) -> float:
         fac, rhs, eta_w_eta, logdet_w = _collapsed_system(structure, theta)
     except NumericalError:
         return -np.inf
-    m = fac.solve(rhs)
-    quad = eta_w_eta - float(rhs @ m)
+    quad = eta_w_eta - fac.inv_quad(rhs)
     logdet_q_nu = structure.logdet_q_nu(theta)
     return float(
         -0.5 * n_obs * math.log(2.0 * math.pi)

@@ -226,8 +226,9 @@ class TestFixedPattern:
             assert np.array_equal(np.sort(layout.order[layout.n_band:]), betas)
             for theta in thetas:
                 P_ref, W, W_blocks = _dense_system(st, theta)
-                values = (pattern.coef_map @ st.q_nu_coefficients(theta)
-                          + pattern.w_map @ W_blocks.ravel())
+                values = np.zeros(layout.size)
+                values[pattern.slots] = (pattern.coef_map @ st.q_nu_coefficients(theta)
+                                         + pattern.w_map @ W_blocks.ravel())
                 assert_allclose(_arrow_matrix(layout, values), P_ref, rtol=1e-12)
                 fac, rhs, eta_w_eta, logdet_w = _collapsed_system(st, theta)
                 assert_allclose(rhs, Z.T @ W @ st.eta_hat, rtol=1e-12)
@@ -320,6 +321,8 @@ class TestArrowSystem:
                     b = np.random.default_rng(3).standard_normal(st.n_nu)
                     assert_allclose(fac.solve(b), np.linalg.solve(P, b), rtol=1e-8)
                     assert_allclose(fac.solve(rhs), np.linalg.solve(P, rhs), rtol=1e-8)
+                    assert_allclose(fac.inv_quad(rhs), rhs @ np.linalg.solve(P, rhs),
+                                    rtol=1e-10)
                     # the draws' covariance, exactly: T' T = sum_k x_k x_k' = P^-1
                     T = fac.transform(np.eye(st.n_nu))
                     ref = np.linalg.inv(P)
