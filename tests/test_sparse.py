@@ -95,9 +95,9 @@ class TestFixedOrder:
         rng = np.random.default_rng(27)
         rows, cols, dense, Q = _random_arrow(10, 2, rng)
         f = _arrow_factor(rows, cols, dense, Q)
-        draws = f.transform(np.random.default_rng(98).standard_normal((20_000, 12)))
+        draws = f.transform(np.random.default_rng(98).standard_normal((200_000, 12)))
         ref = np.linalg.inv(Q)
-        assert_allclose(np.cov(draws.T), ref, atol=6 * np.abs(ref).max() / np.sqrt(20_000 / 3))
+        assert_allclose(np.cov(draws.T), ref, atol=6 * np.abs(ref).max() / np.sqrt(200_000 / 3))
         # rows are drawn one at a time: the bits do not depend on the batch
         z = np.random.default_rng(5).standard_normal((4, 12))
         assert np.array_equal(f.transform(z)[2], f.transform(z[2:3])[0])
