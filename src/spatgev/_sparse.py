@@ -15,7 +15,7 @@ once and every matrix on the pattern is factored from its values.
 
 SymmetricFactor wraps scipy's SuperLU in symmetric mode, which for an SPD
 matrix produces an LDLt-style factorization with a single fill-reducing
-permutation, and draws from N(0, Q^-1) with it.
+permutation; it gives log det Q, solves with Q and draws from N(0, Q^-1).
 
 scipy is imported on first use, so commands that factor nothing never load
 it.
@@ -222,7 +222,7 @@ def _splu(Q: sparse.csc_matrix):
 
 
 class SymmetricFactor:
-    """SuperLU factorization of a sparse SPD matrix, for drawing from N(0, Q^-1).
+    """SuperLU factorization of a sparse SPD matrix.
 
     Internally Q[p, :][:, p] = L U with U = D L^T and p a minimum-degree
     order, so Q factors as (L sqrt(D)) (L sqrt(D))^T in the permuted order.
@@ -246,6 +246,15 @@ class SymmetricFactor:
             raise NumericalError("matrix is not positive definite")
         self._diag_u = d
         self._perm = np.asarray(self._lu.perm_c)
+
+    @property
+    def logdet(self) -> float:
+        """log det Q."""
+        return float(np.sum(np.log(self._diag_u)))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve Q x = b (b may be a matrix of stacked right-hand sides)."""
+        return self._lu.solve(np.asarray(b, dtype=float))
 
     def transform(self, z: np.ndarray) -> np.ndarray:
         """Map standard normals z, shape (m, n), to m draws from N(0, Q^-1).

@@ -16,6 +16,24 @@ def _random_spd(n, rng, density=0.05):
 
 
 class TestFactor:
+    def test_logdet_matches_dense(self):
+        rng = np.random.default_rng(21)
+        for n in (5, 40, 200):
+            Q = _random_spd(n, rng)
+            f = SymmetricFactor(Q)
+            sign, ref = np.linalg.slogdet(Q.toarray())
+            assert sign == 1.0
+            assert_allclose(f.logdet, ref, rtol=1e-10)
+
+    def test_solve_matches_dense(self):
+        rng = np.random.default_rng(22)
+        Q = _random_spd(60, rng)
+        f = SymmetricFactor(Q)
+        b = rng.standard_normal(60)
+        assert_allclose(f.solve(b), np.linalg.solve(Q.toarray(), b), rtol=1e-9, atol=1e-12)
+        B = rng.standard_normal((60, 3))
+        assert_allclose(f.solve(B), np.linalg.solve(Q.toarray(), B), rtol=1e-9, atol=1e-12)
+
     def test_sample_covariance(self):
         # permutation bookkeeping: empirical covariance of draws must match
         # Q^-1 entrywise, which fails if the unpermutation is wrong
