@@ -15,10 +15,10 @@ tasks share before calling, or every worker computes it again and the caller
 never sees it.  Imports count as such caches: scipy, and numpy submodules such
 as numpy.random, load on first use, so import what the tasks use before
 calling, or every worker imports it again.  fork, not spawn: a spawned worker
-would import the package again (about 0.3 s for the CLI's modules and 0.3 s
-more for the scipy.sparse.linalg that factoring tasks use: medians of 15 on a
-shared 2-vCPU x86-64 host, Python 3.11, numpy 2.4, scipy 1.17) and need every
-task pickled.
+would import the package again (about 0.2 s for the CLI's modules and 0.3 s
+more for the scipy.sparse and scipy.linalg.lapack that factoring tasks use:
+medians of 15 on a shared 2-vCPU x86-64 host, Python 3.11, numpy 2.4, scipy
+1.17) and need every task pickled.
 The package starts no threads of its own, so the fork copies no lock that
 another thread holds.
 

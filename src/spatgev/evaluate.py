@@ -25,7 +25,10 @@ from .gev import (
     link_inverse,
     LinkedParams,
     logpdf,
+    logpdf_derivatives,
     reduced_variate,
+    reduced_variate_derivs,
+    shape_derivs,
     shape_inverse,
     shape_prior_logdensity,
 )
@@ -98,7 +101,11 @@ def kde_bandwidth(samples: np.ndarray) -> float:
 
 
 def kde_density(samples: np.ndarray, y) -> np.ndarray | float:
-    """Gaussian-kernel density of the samples evaluated at y."""
+    """Gaussian-kernel density of the samples evaluated at y.
+
+    y may be a scalar or an array; every value of an array shares the one
+    bandwidth of the samples, and each gets the bits it would get alone.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2 or np.unique(samples).size < 2:
         raise DataError("kernel density needs at least two distinct samples")
@@ -191,6 +198,76 @@ def _stack_observations(records: list) -> tuple:
     return np.concatenate(y_all), np.concatenate(idx)
 
 
+def _rsm_objective(designs: list, y: np.ndarray, idx: np.ndarray):
+    """RSM's objective: negll(coef) -> (value, gradient) for L-BFGS-B.
+
+    designs are the (psi, tau, phi) design matrices, one row per site; y
+    holds the observations and idx their sites.
+    """
+    splits = np.cumsum([X.shape[1] for X in designs])[:-1]
+    n_sites = designs[0].shape[0]
+
+    def site_sums(weights: np.ndarray) -> np.ndarray:
+        return np.bincount(idx, weights=weights, minlength=n_sites)
+
+    def coef_grad(d_psi: np.ndarray, d_tau: np.ndarray, d_phi: np.ndarray) -> np.ndarray:
+        """Gradient in the coefficients from per-site derivatives in (psi, tau, phi)."""
+        return np.concatenate([designs[0].T @ d_psi, designs[1].T @ d_tau,
+                               designs[2].T @ d_phi])
+
+    def negll(coef: np.ndarray) -> tuple:
+        """Negative log-likelihood with the shape prior, and its exact gradient.
+
+        Per observation, with z = (y - mu)/sigma, Y = y/sigma and g from
+        gev.logpdf_derivatives, dz/dpsi = -Y and dz/dtau = -z, so the
+        log-density's derivatives are -1 - g_z Y, -1 - g_z z and g_xi h'(phi).
+        The penalty walls return their own gradients, zero for the flat one,
+        which also stands in for a value or gradient that is not finite.
+        """
+        c_psi, c_tau, c_phi = np.split(coef, splits)
+        psi = designs[0] @ c_psi
+        tau = designs[1] @ c_tau
+        phi = designs[2] @ c_phi
+        flat = (1e30, np.zeros(coef.size))
+        if np.any(np.abs(psi) > 300.0) or np.any(np.abs(tau) > 300.0):
+            return flat
+        h1, _, p1, _ = shape_derivs(phi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = np.exp(psi)[idx]
+            sigma = mu * np.exp(tau)[idx]
+            xi = shape_inverse(phi)[idx]
+            z = (y - mu) / sigma
+            big_y = y / sigma
+            support = 1.0 + xi * z
+            if np.any(support <= 1e-12):
+                # graded penalty: a flat wall stalls the line search; it falls
+                # as the support 1 + xi z of each point below 1e-12 rises
+                below = support < 1e-12
+                value = 1e8 * (1.0 + float(np.sum(np.maximum(0.0, 1e-12 - support))))
+                grad = 1e8 * coef_grad(site_sums(np.where(below, xi * big_y, 0.0)),
+                                       site_sums(np.where(below, xi * z, 0.0)),
+                                       -site_sums(np.where(below, z, 0.0)) * h1)
+                return value, grad
+            w = reduced_variate(z, xi)
+            if np.any(w < -700.0):
+                k = int(np.argmin(w))
+                w_z, w_xi, _ = reduced_variate_derivs(z[k:k + 1], xi[k:k + 1])
+                at_k = np.zeros((3, n_sites))
+                at_k[:, idx[k]] = (w_z[0] * big_y[k], w_z[0] * z[k],
+                                   -w_xi[0] * h1[idx[k]])
+                return 1e8 * (1.0 - float(np.min(w)) - 700.0), 1e8 * coef_grad(*at_k)
+            ll = np.sum(logpdf(y, mu, sigma, xi, w=w))
+            ll += np.sum(shape_prior_logdensity(phi))
+            g_z, g_xi = logpdf_derivatives(z, xi, w=w)[:2]
+            grad = coef_grad(site_sums(-1.0 - g_z * big_y), site_sums(-1.0 - g_z * z),
+                             site_sums(g_xi) * h1 + p1)
+        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+            return flat
+        return -float(ll), -grad
+
+    return negll
+
+
 def fit_rsm(records: list, coords: np.ndarray, covariates: np.ndarray,
             covariate_names: tuple = (),
             orders: tuple = (2, 2, 1)) -> RsmFit:
@@ -198,7 +275,8 @@ def fit_rsm(records: list, coords: np.ndarray, covariates: np.ndarray,
 
     The same log links as the latent model keep mu and sigma positive; the
     per-site transformed-shape prior is included for every site so the
-    benchmark is regularized like the sitewise fits.
+    benchmark is regularized like the sitewise fits.  L-BFGS-B runs on the
+    objective's exact gradient.
     """
     coords = np.asarray(coords, dtype=float)
     covariates = np.asarray(covariates, dtype=float)
@@ -218,38 +296,13 @@ def fit_rsm(records: list, coords: np.ndarray, covariates: np.ndarray,
     x0[0] = math.log(pooled.mu)
     x0[sizes[0]] = math.log(pooled.sigma / pooled.mu)
 
-    splits = np.cumsum(sizes)[:-1]
-
-    def negll(coef: np.ndarray) -> float:
-        c_psi, c_tau, c_phi = np.split(coef, splits)
-        psi = designs[0] @ c_psi
-        tau = designs[1] @ c_tau
-        phi = designs[2] @ c_phi
-        if np.any(np.abs(psi) > 300.0) or np.any(np.abs(tau) > 300.0):
-            return 1e30
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu = np.exp(psi)[idx]
-            sigma = mu * np.exp(tau)[idx]
-            xi = shape_inverse(phi)[idx]
-            z = (y - mu) / sigma
-            support = 1.0 + xi * z
-            if np.any(support <= 1e-12):
-                # graded penalty: a flat wall stalls the line search
-                return 1e8 * (1.0 + float(np.sum(np.maximum(0.0, 1e-12 - support))))
-            w = reduced_variate(z, xi)
-            if np.any(w < -700.0):
-                return 1e8 * (1.0 - float(np.min(w)) - 700.0)
-            ll = np.sum(logpdf(y, mu, sigma, xi))
-            ll += np.sum(shape_prior_logdensity(phi))
-        return 1e30 if not np.isfinite(ll) else -float(ll)
-
     from scipy import optimize
 
-    res = optimize.minimize(negll, x0, method="L-BFGS-B",
-                            options={"maxiter": 500})
-    c_psi, c_tau, c_phi = np.split(res.x, splits)
+    res = optimize.minimize(_rsm_objective(designs, y, idx), x0, jac=True,
+                            method="L-BFGS-B", options={"maxiter": 500})
+    c_psi, c_tau, c_phi = np.split(res.x, np.cumsum(sizes)[:-1])
     shell.coef = {"psi": c_psi, "tau": c_tau, "phi": c_phi}
-    shell.converged = bool(res.success) and negll(res.x) < 1e29
+    shell.converged = bool(res.success) and res.fun < 1e29
     return shell
 
 
@@ -562,17 +615,20 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
                 n_per = max(1, round(total / result.n_draws))
 
                 def predictive_bits(cells, gauged: bool):
+                    # one predictive sample set per site (and year, with a
+                    # trend), drawn in the cells' first-appearance order and
+                    # scored at all of its cells by one density estimate
+                    groups: dict = {}
+                    for k, (s, yr, _) in enumerate(cells):
+                        groups.setdefault((s, yr if spec.trend else None), []).append(k)
+                    values = np.array([v for _, _, v in cells], dtype=float)
                     bits = np.empty(len(cells))
-                    cache: dict = {}
-                    for k, (s, yr, v) in enumerate(cells):
-                        key = (s, yr if spec.trend else None)
-                        if key not in cache:
-                            target = (train_pos[s] if gauged else
-                                      _ungauged_for(dataset, spec, s, covariate_names))
-                            cache[key] = posterior_predictive(
-                                result, target, rng, year=yr if spec.trend else None,
-                                n_per_draw=n_per, t0=t0)
-                        bits[k] = _bits_from_density(kde_density(cache[key], v))
+                    for (s, yr), ks in groups.items():
+                        target = (train_pos[s] if gauged else
+                                  _ungauged_for(dataset, spec, s, covariate_names))
+                        samples = posterior_predictive(result, target, rng, year=yr,
+                                                       n_per_draw=n_per, t0=t0)
+                        bits[ks] = _bits_from_density(kde_density(samples, values[ks]))
                     return bits
 
                 within_bits[name] = predictive_bits(within_cells, gauged=True)

@@ -17,7 +17,8 @@ summing logpdf rounds differently and would move the golden site fits.
 logpdf_derivatives gives the first and second derivatives of the same
 log-density in (z, xi), and shape_derivs, trend_inverse_derivs and
 trend_prior_derivs those of the links and priors, for the max step's
-Newton iterations.
+Newton iterations and the response surface's exact gradient;
+reduced_variate_derivs gives those of w itself.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "LinkedParams",
     "location_at",
     "reduced_variate",
+    "reduced_variate_derivs",
     "logpdf_derivatives",
     "logpdf",
     "cdf",
@@ -177,19 +179,13 @@ _L1_SERIES = tuple((-1.0) ** k * k / (k + 1.0) for k in range(1, 11))
 _L2_SERIES = tuple((-1.0) ** k * k * (k - 1.0) / (k + 1.0) for k in range(2, 12))
 
 
-def logpdf_derivatives(z, xi: float):
-    """Derivatives of g(z, xi) = -(1 + xi)*w - exp(-w), w = reduced_variate(z, xi).
+def reduced_variate_derivs(z, xi):
+    """(w_z, w_xi, w_xixi): derivatives of w = reduced_variate(z, xi).
 
-    The log-density is -log(scale) + g.  Returns the arrays (g_z, g_xi,
-    g_zz, g_zxi, g_xixi) at each standardized z for one shape xi.  With
-    u = 1 + xi*z and x = xi*z, w_z = 1/u, w_zz = -xi/u^2, w_zxi = -z/u^2,
-    w_xi = z^2 L'(x) and w_xixi = z^3 L''(x) for L(x) = log1p(x)/x, whose
-    closed forms cancel near x = 0: there, |x| < XZ_SWITCH (which holds
-    for every z when xi = 0), the power series is used.  Outside the
-    support the values are not finite.
+    w_z = 1/(1 + xi*z), w_xi = z^2 L'(xi*z) and w_xixi = z^3 L''(xi*z), as
+    in logpdf_derivatives, which takes them from here.
     """
     z = np.asarray(z, dtype=float)
-    w = reduced_variate(z, xi)
     x = xi * z
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_u = 1.0 / (1.0 + x)
@@ -200,8 +196,26 @@ def logpdf_derivatives(z, xi: float):
         if near.any():
             l1[near] = np.polynomial.polynomial.polyval(x[near], _L1_SERIES)
             l2[near] = np.polynomial.polynomial.polyval(x[near], _L2_SERIES)
-        w_xi = z * z * l1
-        w_xixi = z * z * z * l2
+        return inv_u, z * z * l1, z * z * z * l2
+
+
+def logpdf_derivatives(z, xi, w=None):
+    """Derivatives of g(z, xi) = -(1 + xi)*w - exp(-w), w = reduced_variate(z, xi).
+
+    The log-density is -log(scale) + g.  Returns the arrays (g_z, g_xi,
+    g_zz, g_zxi, g_xixi) at each standardized z; xi is one shape or one per
+    z.  With u = 1 + xi*z and x = xi*z, w_z = 1/u, w_zz = -xi/u^2, w_zxi =
+    -z/u^2, w_xi = z^2 L'(x) and w_xixi = z^3 L''(x) for L(x) =
+    log1p(x)/x, whose closed forms cancel near x = 0: there, |x| <
+    XZ_SWITCH (which holds for every z when xi = 0), the power series is
+    used.  A caller that has w already passes it.  Outside the support the
+    values are not finite.
+    """
+    z = np.asarray(z, dtype=float)
+    if w is None:
+        w = reduced_variate(z, xi)
+    inv_u, w_xi, w_xixi = reduced_variate_derivs(z, xi)
+    with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(-w)
         a = e - 1.0 - xi
         g_z = inv_u * a
@@ -212,9 +226,13 @@ def logpdf_derivatives(z, xi: float):
     return g_z, g_xi, g_zz, g_zxi, g_xixi
 
 
-def logpdf(y, loc, scale, xi):
-    """GEV log-density; -inf outside the support."""
-    w = reduced_variate((y - loc) / scale, xi)
+def logpdf(y, loc, scale, xi, w=None):
+    """GEV log-density; -inf outside the support.
+
+    w is reduced_variate((y - loc) / scale, xi), when the caller has it.
+    """
+    if w is None:
+        w = reduced_variate((y - loc) / scale, xi)
     with np.errstate(over="ignore", invalid="ignore"):
         out = -np.log(scale) - (1.0 + xi) * w - np.exp(-w)
     return np.where(np.isfinite(w), out, -np.inf)

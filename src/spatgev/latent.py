@@ -169,6 +169,11 @@ class LatentStructure:
             blocks.append(sparse.csr_matrix(np.hstack(parts)))
         return sparse.block_diag(blocks, format="csc")
 
+    @cached_property
+    def Zt(self) -> sparse.csr_matrix:
+        """Z' in CSR, built once per structure, not for every theta."""
+        return self.Z.T
+
     def _q_nu_entries(self) -> tuple:
         """Q_nu as (rows, cols, coefficient index, value) entries.
 
@@ -391,7 +396,7 @@ def _collapsed_system(structure: LatentStructure, theta: np.ndarray, drop=None):
     fac = structure._p_pattern.factor(structure.q_nu_coefficients(theta), W.ravel())
     q, J = structure.n_params, structure.n_sites
     w_eta = np.einsum("jab,bj->aj", W, structure.eta_hat.reshape(q, J)).ravel()
-    return (fac, structure.Z.T @ w_eta, float(structure.eta_hat @ w_eta), logdet_w)
+    return (fac, structure.Zt @ w_eta, float(structure.eta_hat @ w_eta), logdet_w)
 
 
 def marginal_loglik(structure: LatentStructure, theta: np.ndarray) -> float:

@@ -13,9 +13,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
+from spatgev import evaluate
 from spatgev.errors import ConfigError, DataError
 from spatgev.evaluate import (
+    LGM_VARIANTS,
     LOG_SCORE_FLOOR,
+    RsmFit,
     ad_critical_value,
     anderson_darling,
     empirical_variogram,
@@ -30,10 +33,20 @@ from spatgev.evaluate import (
     score_summary,
     se_of_mean_diff,
 )
-from spatgev.gev import GevParams, LinkedParams, gev_log_pdf, gev_sample, link_inverse
+from spatgev.gev import (
+    GevParams,
+    LinkedParams,
+    gev_log_pdf,
+    gev_sample,
+    link_inverse,
+    reduced_variate,
+    shape_inverse,
+)
 from spatgev.latent import McmcConfig
+from spatgev.predict import posterior_predictive
 from spatgev.simulate import Scenario, simulate_dataset
-from spatgev.site_fit import fit_site
+from spatgev.site_fit import fit_all_sites, fit_site
+from spatgev.spde import build_mesh
 
 BW_100 = 0.358296453498148
 SE_650 = 0.031378581622109
@@ -97,6 +110,13 @@ class TestKde:
         shuffled = samples[rng.permutation(200)]
         assert_allclose(kde_density(samples, 0.3), kde_density(shuffled, 0.3),
                         rtol=1e-12)
+
+    def test_array_of_points_matches_each_alone(self):
+        rng = np.random.default_rng(5)
+        samples = rng.gamma(3.0, 2.0, size=2000)
+        ys = np.concatenate([rng.gamma(3.0, 2.0, size=13), [-50.0, 1e3]])
+        alone = [kde_density(samples, y) for y in ys]
+        assert np.array_equal(kde_density(samples, ys), alone)
 
     def test_degenerate_samples_rejected(self):
         with pytest.raises(DataError):
@@ -193,6 +213,89 @@ class TestRsm:
             records.append((years, gev_sample(p, years, years.size, rng)))
         rsm = fit_rsm(records, coords, covs, covariate_names=("c1",))
         assert abs(rsm.coef["psi"][1] - 0.5) < 0.1
+
+
+def _rsm_problem():
+    """RSM's objective on 25 sites with one covariate, and its design sizes."""
+    rng = np.random.default_rng(9)
+    coords = rng.uniform(0.0, 10.0, size=(25, 2))
+    covs = rng.normal(size=(25, 1))
+    records = _records(GevParams(mu=30.0, sigma=8.0, xi=0.1), 25, 40, seed=10)
+    shell = RsmFit(coef={}, coord_mean=coords.mean(axis=0),
+                   coord_scale=coords.std(axis=0), covariate_names=("c1",))
+    designs = shell._designs(coords, covs)
+    y, idx = evaluate._stack_observations(records)
+    return evaluate._rsm_objective(designs, y, idx), designs, y, idx
+
+
+def _rsm_point(designs, psi, tau, phi, noise=None):
+    """Coefficients with the given intercepts of psi, log(sigma/mu) and phi."""
+    sizes = [X.shape[1] for X in designs]
+    coef = np.zeros(sum(sizes)) if noise is None else noise.copy()
+    coef[0] = psi
+    coef[sizes[0]] = tau
+    coef[sizes[0] + sizes[1]] = phi
+    return coef
+
+
+def _central_differences(f, x, h):
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        grad[i] = (f(x + e)[0] - f(x - e)[0]) / (2.0 * h)
+    return grad
+
+
+class TestRsmGradient:
+    def test_matches_central_differences(self):
+        f, designs, _, _ = _rsm_problem()
+        noise = np.random.default_rng(12).normal(scale=0.02, size=sum(
+            X.shape[1] for X in designs))
+        x = _rsm_point(designs, math.log(30.0), math.log(8.0 / 30.0), 0.1, noise)
+        value, grad = f(x)
+        assert value < 1e8
+        fd = _central_differences(f, x, 1e-6)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+    def _standardized(self, designs, y, idx, x):
+        sizes = np.cumsum([X.shape[1] for X in designs])[:-1]
+        psi, tau, phi = (X @ c for X, c in zip(designs, np.split(x, sizes)))
+        mu = np.exp(psi)[idx]
+        sigma = mu * np.exp(tau)[idx]
+        xi = shape_inverse(phi)[idx]
+        return (y - mu) / sigma, xi
+
+    @pytest.mark.parametrize("wall, mu, sigma, phi", [
+        ("support", 1000.0, 10.0, 0.3),
+        ("variate", 1000.0, 1.0, 0.0),
+        ("variate", 1000.0, 1.0, 1e-4),
+        ("variate", 1000.0, 1.0, -1e-4),
+    ])
+    def test_graded_walls_keep_values_with_exact_gradient(self, wall, mu, sigma, phi):
+        f, designs, y, idx = _rsm_problem()
+        x = _rsm_point(designs, math.log(mu), math.log(sigma / mu), phi)
+        z, xi = self._standardized(designs, y, idx, x)
+        support = 1.0 + xi * z
+        if wall == "support":
+            assert np.any(support <= 1e-12)
+            expect = 1e8 * (1.0 + float(np.sum(np.maximum(0.0, 1e-12 - support))))
+        else:
+            assert np.all(support > 1e-12)
+            w = reduced_variate(z, xi)
+            assert np.any(w < -700.0)
+            expect = 1e8 * (1.0 - float(np.min(w)) - 700.0)
+        value, grad = f(x)
+        assert value == expect
+        assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+        fd = _central_differences(f, x, 1e-7)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+    def test_flat_wall_has_zero_gradient(self):
+        f, designs, _, _ = _rsm_problem()
+        value, grad = f(_rsm_point(designs, 400.0, 0.0, 0.0))
+        assert value == 1e30
+        assert np.array_equal(grad, np.zeros_like(grad))
 
 
 class TestCvPlan:
@@ -337,6 +440,87 @@ class TestRunCv:
         ds = simulate_dataset(scn, seed=3).dataset
         with pytest.raises(ConfigError):
             run_cv(ds, make_cv_plan(ds, n_heldout=3), variants=("NOPE",))
+
+
+def _per_cell_tables(ds, plan, variants, mcmc, n_samples, n_samples_trend, seed, mesh):
+    """run_cv's tables for LGM variants from a loop that draws a predictive
+    sample set at the first cell of each (site, year if trend) and estimates
+    the density cell by cell."""
+    names = list(ds.covariate_names or [])
+    train_ds = ds.subset(plan.train_sites).filter_years(hi=plan.train_end_year)
+    cells = {"within": evaluate._test_observations(ds, plan.train_sites, plan.test_years),
+             "out": evaluate._test_observations(ds, plan.heldout_sites, plan.test_years)}
+    train_pos = {int(s): k for k, s in enumerate(plan.train_sites)}
+    rng = np.random.default_rng(seed)
+    bits = {"within": {}, "out": {}}
+    for name in variants:
+        spec = LGM_VARIANTS[name]
+        stacked = fit_all_sites(train_ds.records, trend=spec.trend,
+                                station_ids=train_ds.station_ids)
+        result = evaluate._fit_lgm(ds, spec, plan, names, mcmc, mesh, stacked)
+        total = n_samples_trend if spec.trend else n_samples
+        n_per = max(1, round(total / result.n_draws))
+        for mode in ("within", "out"):
+            cache, out = {}, []
+            for s, yr, v in cells[mode]:
+                key = (s, yr if spec.trend else None)
+                if key not in cache:
+                    target = (train_pos[s] if mode == "within" else
+                              evaluate._ungauged_for(ds, spec, s, names))
+                    cache[key] = posterior_predictive(result, target, rng, year=key[1],
+                                                      n_per_draw=n_per, t0=None)
+                out.append(evaluate._bits_from_density(kde_density(cache[key], v)))
+            bits[mode][name] = np.array(out)
+    max_year = max(float(np.max(r[0])) for r in train_ds.records)
+    return tuple(evaluate._build_table(bits[mode], plan, max_year)
+                 for mode in ("within", "out"))
+
+
+class TestRunCvGrouping:
+    """run_cv draws each predictive sample set once and scores its cells at once."""
+
+    VARIANTS = ("LGM-COV", "LGM-FULLT")
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        scn = Scenario(n_sites=12, n_covariates=1, beta_psi=(3.4, 0.5),
+                       beta_tau=(-1.0, 0.1), trend=True, record_length=50)
+        ds = simulate_dataset(scn, seed=21).dataset
+        plan = make_cv_plan(ds, n_heldout=3, seed=3)
+        mesh = build_mesh(ds.sites)
+        mcmc = McmcConfig(n_chains=1, n_iterations=60, n_kept=10, seed=2)
+        sizes = {"n_samples": 500, "n_samples_trend": 200, "seed": 1}
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            kde = evaluate.kde_density
+
+            def counted(samples, y):
+                calls.append(np.size(y))
+                return kde(samples, y)
+
+            mp.setattr(evaluate, "kde_density", counted)
+            res = run_cv(ds, plan, variants=self.VARIANTS, mcmc=mcmc, mesh=mesh, **sizes)
+        ref = _per_cell_tables(ds, plan, self.VARIANTS, mcmc, mesh=mesh, **sizes)
+        return res, ref, calls, plan
+
+    def test_tables_equal_per_cell_reference(self, runs):
+        res, (within, out), _, _ = runs
+        assert res.failures == {}
+        for got, want in ((res.within, within), (res.out_of_site, out)):
+            assert got.models == want.models == list(self.VARIANTS)
+            assert got.mean == want.mean
+            assert got.n_scored == want.n_scored
+            assert got.n_excluded == want.n_excluded
+            assert np.array_equal(got.diff, want.diff, equal_nan=True)
+            assert np.array_equal(got.se, want.se, equal_nan=True)
+            assert got.max_train_year == want.max_train_year
+
+    def test_one_density_estimate_per_sample_set(self, runs):
+        _, _, calls, plan = runs
+        n_sites = plan.train_sites.size + plan.heldout_sites.size
+        n_years = plan.test_years.size
+        # stationary: one set per site scores its 13 years; trend: one per cell
+        assert calls == [n_years] * n_sites + [1] * (n_sites * n_years)
 
 
 class TestAndersonDarling:

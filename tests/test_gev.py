@@ -23,6 +23,10 @@ from spatgev.gev import (
     link_forward,
     link_inverse,
     location_at,
+    logpdf,
+    logpdf_derivatives,
+    reduced_variate,
+    reduced_variate_derivs,
     shape_forward,
     shape_inverse,
     shape_inverse_deriv,
@@ -229,6 +233,44 @@ class TestGevDistribution:
             gev_quantile(0.0, p)
         with pytest.raises(ValueError):
             gev_quantile(1.0, p)
+
+
+class TestKernelDerivatives:
+    """reduced_variate_derivs and the w= and per-point xi forms of the kernel."""
+
+    @pytest.mark.parametrize("z, xi", [
+        (-970.0, 0.0), (-3.0, 1e-4), (2.5, -0.3), (-1.5, 0.4), (40.0, 5e-8), (-2.0, -0.45),
+    ])
+    def test_reduced_variate_derivs_match_mpmath(self, z, xi):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+
+        def w(zz, xx):
+            return zz if xx == 0 else mpmath.log1p(xx * zz) / xx
+
+        w_z, w_xi, _ = reduced_variate_derivs(np.array([z]), np.array([xi]))
+        ref_z = mpmath.diff(lambda t: w(t, mpmath.mpf(xi)), mpmath.mpf(z))
+        ref_xi = mpmath.diff(lambda t: w(mpmath.mpf(z), t), mpmath.mpf(xi))
+        assert_allclose(w_z[0], float(ref_z), rtol=1e-12)
+        assert_allclose(w_xi[0], float(ref_xi), rtol=1e-9, atol=1e-300)
+
+    def test_given_variate_changes_no_bit(self):
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=200)
+        xi = rng.uniform(-0.3, 0.3, size=200)
+        w = reduced_variate(z, xi)
+        assert np.array_equal(logpdf(z, 0.0, 1.0, xi, w=w), logpdf(z, 0.0, 1.0, xi))
+        for given, computed in zip(logpdf_derivatives(z, xi, w=w), logpdf_derivatives(z, xi)):
+            assert np.array_equal(given, computed)
+
+    def test_one_shape_per_point_equals_each_alone(self):
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=40)
+        xi = np.concatenate([rng.uniform(-0.3, 0.3, size=38), [0.0, 2e-8]])
+        together = logpdf_derivatives(z, xi)
+        alone = [logpdf_derivatives(z[k:k + 1], float(xi[k])) for k in range(z.size)]
+        for i, values in enumerate(together):
+            assert np.array_equal(values, [a[i][0] for a in alone])
 
 
 class TestTrendLocation:
