@@ -2,14 +2,15 @@
 
 Subcommands: simulate, fit-sites, select, fit, predict, return-levels, cv,
 aggregate.  Every command reads a JSON run configuration, writes delimited
-text or JSON artifacts into --out, and finishes with a manifest recording
-the config hash, seed, package version, and a content hash per artifact.
-Reruns with the same inputs are byte-identical except the manifest
+text, JSON or .npy artifacts into --out, and finishes with a manifest
+recording the config hash, seed, package version, and a content hash per
+artifact.  Reruns with the same inputs are byte-identical except the manifest
 timestamp.  Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.
 
-A fit directory is the whole fit.  Besides the draws (theta_draws.csv,
-eta_draws.csv, nu_draws.csv), their summaries (theta_summary.csv,
+A fit directory is the whole fit.  Besides the draws (theta_draws.csv, and
+the latent eta_draws.npy and nu_draws.npy: float64 arrays of one row per
+kept draw in NumPy's binary format), their summaries (theta_summary.csv,
 latent_summary.csv) and model.json, fit writes max_step.csv: per station the
 link-space mode, the full q x q precision block (repr floats, so they read
 back bit for bit) and the fit's loglik, n_obs, converged, hessian_repaired
@@ -58,6 +59,7 @@ from .dataio import (
     write_csv_atomic,
     write_json_atomic,
     write_maxima_csv,
+    write_npy_atomic,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import DEFAULT_VARIANTS, make_cv_plan, run_cv
@@ -73,7 +75,7 @@ MAX_STEP_FILE = "max_step.csv"
 MESH_FILE = "mesh.json"
 # files of a fit directory that queries read, each checked against manifest.json
 FIT_FILES = ("model.json", MAX_STEP_FILE, MESH_FILE, "theta_draws.csv",
-             "theta_summary.csv", "eta_draws.csv", "nu_draws.csv")
+             "theta_summary.csv", "eta_draws.npy", "nu_draws.npy")
 
 
 def _progress(msg: str) -> None:
@@ -439,19 +441,13 @@ def cmd_fit(args) -> int:
     ])
     outputs.append(("theta_summary.csv", path))
 
+    for name, draws in (("eta_draws.npy", result.eta_draws),
+                        ("nu_draws.npy", result.nu_draws)):
+        path = _out_path(args, name)
+        write_npy_atomic(path, draws)
+        outputs.append((name, path))
+
     params = [pm.name for pm in structure.params]
-    eta_header = [f"{pm}:{st}" for pm in params for st in ds.station_ids]
-    path = _out_path(args, "eta_draws.csv")
-    write_csv_atomic(path, eta_header,
-                     [[_fmt(v) for v in row] for row in result.eta_draws])
-    outputs.append(("eta_draws.csv", path))
-
-    path = _out_path(args, "nu_draws.csv")
-    nu_header = [f"nu_{k:04d}" for k in range(result.nu_draws.shape[1])]
-    write_csv_atomic(path, nu_header,
-                     [[_fmt(v) for v in row] for row in result.nu_draws])
-    outputs.append(("nu_draws.csv", path))
-
     path = _out_path(args, "latent_summary.csv")
     rows = []
     for q, pm in enumerate(params):
@@ -491,6 +487,21 @@ def _read_draws_csv(path: str):
         header = fh.readline().rstrip("\r\n").split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return header, data
+
+
+def _read_draws_npy(path: str, n_draws: int) -> np.ndarray:
+    """A float64 array of n_draws rows stored by np.save, or a DataError."""
+    try:
+        draws = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"{path}: not a stored draw array: {exc}") from exc
+    if (not isinstance(draws, np.ndarray) or draws.dtype != np.float64
+            or draws.ndim != 2 or draws.shape[0] != n_draws):
+        got = (f"{draws.dtype} array of shape {draws.shape}"
+               if isinstance(draws, np.ndarray) else type(draws).__name__)
+        raise DataError(f"{path}: expected a 2-D float64 array of {n_draws} draws, "
+                        f"got {got}")
+    return draws
 
 
 def _check_fit_files(fit_dir: str) -> None:
@@ -534,12 +545,15 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
     """Reassemble a SmoothResult from a fit directory plus the input data.
 
     The fit directory holds model.json, max_step.csv, mesh.json,
-    theta_draws.csv, theta_summary.csv, eta_draws.csv and nu_draws.csv, each
-    checked against its sha256 in manifest.json first.  The latent structure
-    is rebuilt from max_step.csv, whose station order and parameter count
-    must match model.json, and from the stored mesh; neither the max step
-    nor the mesh is computed again.  The input data still supplies station
-    coordinates, covariates and records.
+    theta_draws.csv, theta_summary.csv, eta_draws.npy and nu_draws.npy, each
+    checked against its sha256 in manifest.json first.  The .npy draws are
+    read whole, without pickles or a memory map, and must be 2-D float64
+    arrays with one row per theta draw; a directory with the older CSV draws
+    is refused as missing them.  The latent structure is rebuilt from
+    max_step.csv, whose station order and parameter count must match
+    model.json, and from the stored mesh; neither the max step nor the mesh
+    is computed again.  The input data still supplies station coordinates,
+    covariates and records.
     """
     _check_fit_files(fit_dir)
     with open(os.path.join(fit_dir, "model.json")) as fh:
@@ -573,8 +587,8 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
         status=model["status"], warnings=list(model["warnings"]),
         by_chain=theta_draws.reshape(model["n_chains"], -1, theta_draws.shape[1]),
     )
-    _, eta_draws = _read_draws_csv(os.path.join(fit_dir, "eta_draws.csv"))
-    _, nu_draws = _read_draws_csv(os.path.join(fit_dir, "nu_draws.csv"))
+    eta_draws, nu_draws = (_read_draws_npy(os.path.join(fit_dir, name), len(theta_draws))
+                           for name in ("eta_draws.npy", "nu_draws.npy"))
     if eta_draws.shape[1] != structure.eta_hat.size:
         raise DataError("latent draw width does not match the model structure")
     if nu_draws.shape[1] != structure.n_nu:

@@ -468,3 +468,12 @@ def write_csv_atomic(path: str, header: list, rows) -> None:
         writer.writerow(header)
         writer.writerows(rows)
     os.replace(tmp, path)
+
+
+def write_npy_atomic(path: str, array: np.ndarray) -> None:
+    """Write an array in .npy format via a temporary file and rename.  np.save
+    gets an open handle because it appends .npy to a path that lacks it."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        np.save(fh, array, allow_pickle=False)
+    os.replace(tmp, path)

@@ -39,7 +39,6 @@ from .site_fit import StackedFits, fit_all_sites, fit_site
 __all__ = [
     "LOG_SCORE_FLOOR",
     "log_score",
-    "score_summary",
     "kde_bandwidth",
     "kde_density",
     "se_of_mean_diff",
@@ -75,16 +74,6 @@ def log_score(p) -> np.ndarray | float:
     with np.errstate(divide="ignore"):
         out = -np.log2(p)
     return out if out.ndim else float(out)
-
-
-def score_summary(p_values) -> tuple:
-    """(mean bits, number excluded) applying the density floor rule."""
-    p = np.asarray(p_values, dtype=float)
-    keep = p >= LOG_SCORE_FLOOR
-    n_excluded = int(np.sum(~keep))
-    if not np.any(keep):
-        return math.nan, n_excluded
-    return float(np.mean(log_score(p[keep]))), n_excluded
 
 
 def kde_bandwidth(samples: np.ndarray) -> float:
@@ -412,24 +401,6 @@ class ScoreTable:
     diff: np.ndarray  # diff[a, b] = mean(bits_a - bits_b) over common cells
     se: np.ndarray
     max_train_year: float
-
-    def to_text(self) -> str:
-        width = max(len(m) for m in self.models) + 2
-        lines = ["model".ljust(width) + "mean_bits  n  excluded"]
-        for m in self.models:
-            lines.append(
-                m.ljust(width)
-                + f"{self.mean[m]:9.4f}  {self.n_scored[m]}  {self.n_excluded[m]}"
-            )
-        lines.append("")
-        header = "diff (row - col), se in parens".ljust(width)
-        lines.append(header + "  ".join(m.ljust(width) for m in self.models))
-        for a, ma in enumerate(self.models):
-            cells = []
-            for b in range(len(self.models)):
-                cells.append(f"{self.diff[a, b]:+.3f} ({self.se[a, b]:.3f})".ljust(width))
-            lines.append(ma.ljust(width) + "  ".join(cells))
-        return "\n".join(lines)
 
 
 def _build_table(bits_by_model: dict, plan: CvPlan, max_train_year: float) -> ScoreTable:

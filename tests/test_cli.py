@@ -66,18 +66,17 @@ def pipeline(tmp_path_factory):
     assert main(["simulate", "--config", str(cfg), "--out", sim]) == 0
     data = ["--maxima", os.path.join(sim, "maxima.csv"),
             "--sites", os.path.join(sim, "sites.csv")]
-    built = []
+    kept = {}
     with pytest.MonkeyPatch.context() as mp:
-        build = spatgev.cli.build_structure
+        # keep what fit computed in memory: its latent structure and result
+        for name, key in (("build_structure", "structure"), ("smooth_step", "result")):
+            def keep(*args, _fn=getattr(spatgev.cli, name), _key=key, **kwargs):
+                kept[_key] = _fn(*args, **kwargs)
+                return kept[_key]
 
-        def keep_structure(*args, **kwargs):
-            built.append(build(*args, **kwargs))
-            return built[-1]
-
-        mp.setattr(spatgev.cli, "build_structure", keep_structure)
+            mp.setattr(spatgev.cli, name, keep)
         assert main(["fit", "--config", str(cfg), *data, "--out", fit]) == 0
-    return {"root": root, "cfg": str(cfg), "sim": sim, "fit": fit, "data": data,
-            "structure": built[-1]}
+    return {"root": root, "cfg": str(cfg), "sim": sim, "fit": fit, "data": data, **kept}
 
 
 @pytest.fixture(scope="module")
@@ -150,14 +149,14 @@ class TestFit:
     def test_artifacts(self, pipeline):
         fit = pipeline["fit"]
         for name in ("max_step.csv", "mesh.json", "theta_draws.csv", "theta_summary.csv",
-                     "eta_draws.csv", "nu_draws.csv", "latent_summary.csv",
+                     "eta_draws.npy", "nu_draws.npy", "latent_summary.csv",
                      "model.json", "manifest.json"):
             assert os.path.exists(os.path.join(fit, name))
         with open(os.path.join(fit, "model.json")) as fh:
             model = json.load(fh)
         manifest = _manifest_without_timestamp(os.path.join(fit, "manifest.json"))
         for name in ("model.json", "max_step.csv", "mesh.json", "theta_draws.csv",
-                     "theta_summary.csv", "eta_draws.csv", "nu_draws.csv"):
+                     "theta_summary.csv", "eta_draws.npy", "nu_draws.npy"):
             digest = hashlib.sha256(_read(os.path.join(fit, name))).hexdigest()
             assert manifest["outputs"][name] == digest
         # no field, so no mesh
@@ -176,13 +175,15 @@ class TestFit:
                            delimiter=",", skiprows=1)
         assert draws.shape == (200, 3)
         assert np.all(draws > 0.0)
+        eta = np.load(os.path.join(fit, "eta_draws.npy"))
+        assert eta.dtype == np.float64 and eta.shape == (200, 3 * 14)
 
     def test_rerun_byte_identical(self, pipeline):
         out2 = str(pipeline["root"] / "fit2")
         assert main(["fit", "--config", pipeline["cfg"], *pipeline["data"],
                      "--out", out2]) == 0
-        for name in ("max_step.csv", "mesh.json", "theta_draws.csv", "eta_draws.csv",
-                     "nu_draws.csv", "model.json"):
+        for name in ("max_step.csv", "mesh.json", "theta_draws.csv", "eta_draws.npy",
+                     "nu_draws.npy", "model.json"):
             assert _read(os.path.join(pipeline["fit"], name)) == \
                 _read(os.path.join(out2, name))
 
@@ -212,7 +213,7 @@ class TestFit:
             subprocess.run([sys.executable, "-c", code, how, "fit", "--config", str(cfg),
                             *pipeline["data"], "--out", str(tmp_path / how)],
                            env=env, check=True, capture_output=True, timeout=300)
-        for name in ("theta_draws.csv", "eta_draws.csv", "nu_draws.csv"):
+        for name in ("theta_draws.csv", "eta_draws.npy", "nu_draws.npy"):
             assert _read(str(tmp_path / "pinned" / name)) == \
                 _read(str(tmp_path / "unpinned" / name)), name
 
@@ -254,15 +255,26 @@ class TestFitDirectory:
                                      str(tmp_path / str(k))):
                 assert main(argv) == 0
 
-    def test_structure_rebuilt_bit_for_bit(self, pipeline):
+    def _load(self, pipeline):
         cfg = RunConfig.from_json(pipeline["cfg"])
         args = spatgev.cli._build_parser().parse_args(
             ["predict", "--config", pipeline["cfg"], *pipeline["data"],
              "--fit", pipeline["fit"], "--out", "unused"])
         result, _, _ = spatgev.cli._load_fit(pipeline["fit"], cfg, args)
+        return result
+
+    def test_structure_rebuilt_bit_for_bit(self, pipeline):
+        result = self._load(pipeline)
         built = pipeline["structure"]
         assert np.array_equal(result.structure.eta_hat, built.eta_hat)
         assert np.array_equal(result.structure.prec_blocks, built.prec_blocks)
+
+    def test_draws_read_back_bit_for_bit(self, pipeline):
+        result, computed = self._load(pipeline), pipeline["result"]
+        for name in ("eta_draws", "nu_draws"):
+            stored, fitted = getattr(result, name), getattr(computed, name)
+            assert stored.dtype == fitted.dtype and stored.shape == fitted.shape
+            assert stored.tobytes() == fitted.tobytes(), name
 
     def test_tampered_value_refused(self, pipeline, tmp_path, capsys):
         fit = self._copy_fit(pipeline, tmp_path)
@@ -283,20 +295,55 @@ class TestFitDirectory:
 
     def test_tampered_draw_refused(self, pipeline, tmp_path, capsys):
         fit = self._copy_fit(pipeline, tmp_path)
-        path = os.path.join(fit, "eta_draws.csv")
-        with open(path) as fh:
-            lines = fh.read().splitlines(keepends=True)
-        cells = lines[1].split(",")
-        cells[0] = repr(float(cells[0]) + 5.0)
-        lines[1] = ",".join(cells)
-        with open(path, "w") as fh:
-            fh.write("".join(lines))
+        path = os.path.join(fit, "eta_draws.npy")
+        with open(path, "rb") as fh:
+            np.lib.format.read_magic(fh)
+            np.lib.format.read_array_header_1_0(fh)
+            data_start = fh.tell()
+        raw = bytearray(_read(path))
+        raw[data_start + 3] ^= 0x01  # one bit of the first draw's first value
+        with open(path, "wb") as fh:
+            fh.write(bytes(raw))
         code = main(["predict", "--config", pipeline["cfg"], *pipeline["data"],
                      "--fit", fit, "--out", str(tmp_path / "o")])
         assert code == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "DataError"
-        assert "eta_draws.csv" in err["message"]
+        assert "eta_draws.npy" in err["message"]
+        assert "sha256" in err["message"]
+
+    @pytest.mark.parametrize("bad", ["float32", "1-D", "rows", "object", "npz", "empty"])
+    def test_bad_draw_array_refused(self, pipeline, tmp_path, capsys, bad):
+        # a signed manifest passes the hash check, so the array check refuses
+        fit = self._copy_fit(pipeline, tmp_path)
+        path = os.path.join(fit, "eta_draws.npy")
+        eta = np.load(path)
+        with open(path, "wb") as fh:
+            if bad == "object":  # a pickled array
+                np.save(fh, eta.astype(object), allow_pickle=True)
+            elif bad == "npz":
+                np.savez(fh, eta=eta)
+            elif bad != "empty":
+                np.save(fh, {"float32": eta.astype(np.float32), "1-D": eta.ravel(),
+                             "rows": eta[1:]}[bad])
+        self._resign(fit, "eta_draws.npy")
+        self._refused(capsys, self._predict(fit, pipeline["cfg"], pipeline["data"],
+                                            tmp_path), "eta_draws.npy")
+
+    def test_csv_draws_refused(self, pipeline, tmp_path, capsys):
+        # a fit directory of the older layout: signed CSV draws and no .npy
+        fit = self._copy_fit(pipeline, tmp_path)
+        for name in ("eta_draws", "nu_draws"):
+            draws = np.load(os.path.join(fit, name + ".npy"))
+            os.remove(os.path.join(fit, name + ".npy"))
+            np.savetxt(os.path.join(fit, name + ".csv"), draws, delimiter=",",
+                       header=",".join(f"c{k}" for k in range(draws.shape[1])),
+                       comments="")
+            self._resign(fit, name + ".csv", drop=name + ".npy")
+        message = self._refused(capsys, self._predict(fit, pipeline["cfg"],
+                                                      pipeline["data"], tmp_path),
+                                "eta_draws.npy")
+        assert "refit" in message
 
     def test_queries_skip_field_eigenproblem(self, pipeline, spatial_fit, tmp_path,
                                              monkeypatch):
@@ -342,6 +389,16 @@ class TestFitDirectory:
         return ["predict", "--config", cfg, *data, "--fit", fit,
                 "--out", str(tmp_path / "o")]
 
+    def _resign(self, fit, name, drop=None):
+        """Record name's current sha256 in the fit's manifest.json."""
+        path = os.path.join(fit, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        manifest["outputs"][name] = hashlib.sha256(_read(os.path.join(fit, name))).hexdigest()
+        manifest["outputs"].pop(drop, None)
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+
     def test_missing_mesh_refused(self, pipeline, tmp_path, capsys):
         # a fit directory written before the mesh was stored
         fit = self._copy_fit(pipeline, tmp_path)
@@ -381,11 +438,7 @@ class TestFitDirectory:
         path = os.path.join(fit, "mesh.json")
         with open(path, "w") as fh:
             fh.write("null\n")
-        with open(os.path.join(fit, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        manifest["outputs"]["mesh.json"] = hashlib.sha256(_read(path)).hexdigest()
-        with open(os.path.join(fit, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh)
+        self._resign(fit, "mesh.json")
         self._refused(capsys, self._predict(fit, spatial_fit["cfg"], pipeline["data"],
                                             tmp_path), "mesh.json")
 

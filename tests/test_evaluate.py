@@ -30,7 +30,6 @@ from spatgev.evaluate import (
     log_score,
     make_cv_plan,
     run_cv,
-    score_summary,
     se_of_mean_diff,
 )
 from spatgev.gev import (
@@ -70,14 +69,15 @@ class TestLogScore:
             log_score(-1e-9)
 
     def test_floor_exclusion(self):
-        mean, excluded = score_summary([0.5, 0.5, 2.0**-51])
-        assert excluded == 1
-        assert mean == 1.0
+        bits = evaluate._bits_from_density([0.5, 0.5, 2.0**-51, 2.0**-50])
+        assert list(bits[:2]) == [1.0, 1.0]
+        assert math.isnan(bits[2])
+        assert bits[3] == 50.0  # the floor itself is scored
         assert 2.0**-50 == LOG_SCORE_FLOOR
 
     def test_all_excluded(self):
-        mean, excluded = score_summary([2.0**-60])
-        assert excluded == 1 and math.isnan(mean)
+        below = [0.0, 2.0**-60, 2.0**-51, np.nextafter(LOG_SCORE_FLOOR, 0.0)]
+        assert np.all(np.isnan(evaluate._bits_from_density(below)))
 
 
 class TestKde:
@@ -428,11 +428,6 @@ class TestRunCv:
         res, _ = cv_result
         assert res.out_of_site.mean["LGM-COV"] < res.out_of_site.mean["LGM-IID"]
         assert res.out_of_site.mean["LGM-COV"] < res.out_of_site.mean["CONST"]
-
-    def test_text_rendering(self, cv_result):
-        res, _ = cv_result
-        text = res.within.to_text()
-        assert "mean_bits" in text and "CONST" in text
 
     def test_unknown_variant(self, cv_result):
         _, plan = cv_result
