@@ -20,21 +20,17 @@ import numpy as np
 
 from .dataio import MaximaDataset
 from .errors import ConfigError, DataError, NumericalError
-from .gev import (
-    GevParams,
-    link_inverse,
-    LinkedParams,
-    logpdf,
-    logpdf_derivatives,
-    reduced_variate,
-    reduced_variate_derivs,
-    shape_derivs,
-    shape_inverse,
-    shape_prior_logdensity,
-)
+from .gev import GevParams, link_inverse, LinkedParams, logpdf, shape_inverse
 from .latent import McmcConfig, build_structure, smooth_step
 from .predict import UngaugedSite, posterior_predictive
-from .site_fit import StackedFits, fit_all_sites, fit_site
+from .site_fit import (
+    StackedFits,
+    _newton,
+    fit_all_sites,
+    fit_site,
+    site_loglik,
+    site_loglik_derivatives,
+)
 
 __all__ = [
     "LOG_SCORE_FLOOR",
@@ -129,15 +125,11 @@ def fit_const(records: list) -> GevParams:
     return link_inverse(lp)
 
 
-def _natural_params(stacked: StackedFits) -> list:
-    """Per-site GevParams of stationary stacked fits."""
+def fit_mle(stacked: StackedFits) -> list:
+    """Per-site GevParams of a stationary max step: the independent
+    generalized-ML benchmark."""
     return [link_inverse(LinkedParams(psi=f.eta_hat[0], tau=f.eta_hat[1], phi=f.eta_hat[2]))
             for f in stacked.site_fits]
-
-
-def fit_mle(records: list) -> list:
-    """Independent stationary generalized-ML fits, one per site."""
-    return _natural_params(fit_all_sites(records, trend=False))
 
 
 def _poly_columns(coords_std: np.ndarray, order: int) -> np.ndarray:
@@ -177,84 +169,38 @@ class RsmFit:
         ])
 
 
-def _stack_observations(records: list) -> tuple:
-    y_all, idx = [], []
-    for i, (_, y) in enumerate(records):
-        y = np.asarray(y, dtype=float)
-        y = y[np.isfinite(y)]
-        y_all.append(y)
-        idx.append(np.full(y.size, i))
-    return np.concatenate(y_all), np.concatenate(idx)
+def _rsm_objective(designs: list, records: list) -> tuple:
+    """RSM's objective over the coefficients c: (f, derivs) for site_fit._newton.
 
-
-def _rsm_objective(designs: list, y: np.ndarray, idx: np.ndarray):
-    """RSM's objective: negll(coef) -> (value, gradient) for L-BFGS-B.
-
-    designs are the (psi, tau, phi) design matrices, one row per site; y
-    holds the observations and idx their sites.
+    Site i's (psi, tau, phi) is M_i c, where the 3 x n map M_i holds row i
+    of each design on its own block of c.  f(c) sums site_loglik(M_i c) over
+    the sites, priors on and no trend; derivs chains the sites' own
+    derivatives, g = sum M_i' g_i and H = sum M_i' H_i M_i.  Each site
+    drops its non-finite (year, y) pairs, as fit_site does.
     """
-    splits = np.cumsum([X.shape[1] for X in designs])[:-1]
-    n_sites = designs[0].shape[0]
+    maps = np.zeros((designs[0].shape[0], 3, sum(X.shape[1] for X in designs)))
+    lo = 0
+    for a, X in enumerate(designs):
+        maps[:, a, lo:lo + X.shape[1]] = X
+        lo += X.shape[1]
+    sites = []
+    for years, y in records:
+        years, y = np.asarray(years, dtype=float), np.asarray(y, dtype=float)
+        keep = np.isfinite(y) & np.isfinite(years)
+        sites.append((y[keep], years[keep]))
 
-    def site_sums(weights: np.ndarray) -> np.ndarray:
-        return np.bincount(idx, weights=weights, minlength=n_sites)
+    def f(c: np.ndarray) -> float:
+        return sum(site_loglik(M @ c, y, years) for M, (y, years) in zip(maps, sites))
 
-    def coef_grad(d_psi: np.ndarray, d_tau: np.ndarray, d_phi: np.ndarray) -> np.ndarray:
-        """Gradient in the coefficients from per-site derivatives in (psi, tau, phi)."""
-        return np.concatenate([designs[0].T @ d_psi, designs[1].T @ d_tau,
-                               designs[2].T @ d_phi])
+    def derivs(c: np.ndarray) -> tuple:
+        per_site = [site_loglik_derivatives(M @ c, y, years)
+                    for M, (y, years) in zip(maps, sites)]
+        g = np.stack([gi for gi, _ in per_site])
+        H = np.stack([Hi for _, Hi in per_site])
+        return (np.einsum("ian,ia->n", maps, g),
+                np.tensordot(maps, H @ maps, axes=([0, 1], [0, 1])))
 
-    def negll(coef: np.ndarray) -> tuple:
-        """Negative log-likelihood with the shape prior, and its exact gradient.
-
-        Per observation, with z = (y - mu)/sigma, Y = y/sigma and g from
-        gev.logpdf_derivatives, dz/dpsi = -Y and dz/dtau = -z, so the
-        log-density's derivatives are -1 - g_z Y, -1 - g_z z and g_xi h'(phi).
-        The penalty walls return their own gradients, zero for the flat one,
-        which also stands in for a value or gradient that is not finite.
-        """
-        c_psi, c_tau, c_phi = np.split(coef, splits)
-        psi = designs[0] @ c_psi
-        tau = designs[1] @ c_tau
-        phi = designs[2] @ c_phi
-        flat = (1e30, np.zeros(coef.size))
-        if np.any(np.abs(psi) > 300.0) or np.any(np.abs(tau) > 300.0):
-            return flat
-        h1, _, p1, _ = shape_derivs(phi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu = np.exp(psi)[idx]
-            sigma = mu * np.exp(tau)[idx]
-            xi = shape_inverse(phi)[idx]
-            z = (y - mu) / sigma
-            big_y = y / sigma
-            support = 1.0 + xi * z
-            if np.any(support <= 1e-12):
-                # graded penalty: a flat wall stalls the line search; it falls
-                # as the support 1 + xi z of each point below 1e-12 rises
-                below = support < 1e-12
-                value = 1e8 * (1.0 + float(np.sum(np.maximum(0.0, 1e-12 - support))))
-                grad = 1e8 * coef_grad(site_sums(np.where(below, xi * big_y, 0.0)),
-                                       site_sums(np.where(below, xi * z, 0.0)),
-                                       -site_sums(np.where(below, z, 0.0)) * h1)
-                return value, grad
-            w = reduced_variate(z, xi)
-            if np.any(w < -700.0):
-                k = int(np.argmin(w))
-                w_z, w_xi, _ = reduced_variate_derivs(z[k:k + 1], xi[k:k + 1])
-                at_k = np.zeros((3, n_sites))
-                at_k[:, idx[k]] = (w_z[0] * big_y[k], w_z[0] * z[k],
-                                   -w_xi[0] * h1[idx[k]])
-                return 1e8 * (1.0 - float(np.min(w)) - 700.0), 1e8 * coef_grad(*at_k)
-            ll = np.sum(logpdf(y, mu, sigma, xi, w=w))
-            ll += np.sum(shape_prior_logdensity(phi))
-            g_z, g_xi = logpdf_derivatives(z, xi, w=w)[:2]
-            grad = coef_grad(site_sums(-1.0 - g_z * big_y), site_sums(-1.0 - g_z * z),
-                             site_sums(g_xi) * h1 + p1)
-        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
-            return flat
-        return -float(ll), -grad
-
-    return negll
+    return f, derivs
 
 
 def fit_rsm(records: list, coords: np.ndarray, covariates: np.ndarray,
@@ -262,10 +208,11 @@ def fit_rsm(records: list, coords: np.ndarray, covariates: np.ndarray,
             orders: tuple = (2, 2, 1)) -> RsmFit:
     """Joint generalized ML over all sites, no random effects, no trend.
 
-    The same log links as the latent model keep mu and sigma positive; the
-    per-site transformed-shape prior is included for every site so the
-    benchmark is regularized like the sitewise fits.  L-BFGS-B runs on the
-    objective's exact gradient.
+    The objective is the max step's own: the sum over sites of site_loglik,
+    with the per-site transformed-shape prior, at each site's (psi, tau,
+    phi) from the designs.  site_fit's damped Newton climbs it on the
+    exact gradient and Hessian from the pooled fit_const start, and
+    converged is its flag.
     """
     coords = np.asarray(coords, dtype=float)
     covariates = np.asarray(covariates, dtype=float)
@@ -278,20 +225,15 @@ def fit_rsm(records: list, coords: np.ndarray, covariates: np.ndarray,
                    covariate_names=tuple(covariate_names), orders=orders)
     designs = shell._designs(coords, covariates)
     sizes = [X.shape[1] for X in designs]
-    y, idx = _stack_observations(records)
 
     pooled = fit_const(records)
     x0 = np.zeros(sum(sizes))
     x0[0] = math.log(pooled.mu)
     x0[sizes[0]] = math.log(pooled.sigma / pooled.mu)
 
-    from scipy import optimize
-
-    res = optimize.minimize(_rsm_objective(designs, y, idx), x0, jac=True,
-                            method="L-BFGS-B", options={"maxiter": 500})
-    c_psi, c_tau, c_phi = np.split(res.x, np.cumsum(sizes)[:-1])
+    coef, _, shell.converged = _newton(*_rsm_objective(designs, records), x0)
+    c_psi, c_tau, c_phi = np.split(coef, np.cumsum(sizes)[:-1])
     shell.coef = {"psi": c_psi, "tau": c_tau, "phi": c_phi}
-    shell.converged = bool(res.success) and res.fun < 1e29
     return shell
 
 
@@ -561,7 +503,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
                 for cells, bits in ((within_cells, within_bits), (out_cells, out_bits)):
                     bits[name] = _gev_bits(cells, p0.mu, p0.sigma, p0.xi)
             elif name == "MLE":
-                fits = _natural_params(site_fits(False))
+                fits = fit_mle(site_fits(False))
                 mu, sigma, xi = np.array([[f.mu, f.sigma, f.xi] for f in fits]).T
                 k = [train_pos[s] for s, _, _ in within_cells]
                 within_bits[name] = _gev_bits(within_cells, mu[k], sigma[k], xi[k])
@@ -572,7 +514,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
                 rsm = fit_rsm(train_ds.records, train_ds.sites, covs[plan.train_sites],
                               covariate_names=tuple(covariate_names))
                 if not rsm.converged:
-                    raise NumericalError("response-surface optimizer failed")
+                    raise NumericalError("response-surface Newton did not converge")
                 for cells, bits in ((within_cells, within_bits), (out_cells, out_bits)):
                     idx = [s for s, _, _ in cells]
                     psi, tau, phi = rsm.linked_at(dataset.sites[idx], covs[idx]).T

@@ -16,9 +16,9 @@ from it but sums -n*log(sigma) - (1+xi)*sum(w) - sum(exp(-w)) itself:
 summing logpdf rounds differently and would move the golden site fits.
 logpdf_derivatives gives the first and second derivatives of the same
 log-density in (z, xi), and shape_derivs, trend_inverse_derivs and
-trend_prior_derivs those of the links and priors, for the max step's
-Newton iterations and the response surface's exact gradient;
-reduced_variate_derivs gives those of w itself.
+trend_prior_derivs those of the links and priors, for the Newton
+iterations of the max step and of the response surface, which climbs the
+max step's own objective; reduced_variate_derivs gives those of w itself.
 """
 
 from __future__ import annotations

@@ -163,12 +163,8 @@ def _fold_rmse(structure: LatentStructure, theta: np.ndarray, folds: list) -> fl
 
 def cv_score(obs: UnivariateObs, X: np.ndarray, spatial: bool,
              mesh: Mesh | None, folds: list, config: SelectionConfig,
-             A=None, names: tuple = ()) -> tuple:
-    """Fit hyperparameters once, then cross-validate; returns (score, theta).
-
-    names labels the design's covariate columns for callers; the score does
-    not depend on it.
-    """
+             A=None) -> tuple:
+    """Fit hyperparameters once, then cross-validate; returns (score, theta)."""
     structure = _build_candidate(obs, X, spatial, mesh, A, config)
     theta = _theta_grid(obs, structure, config)
     return _fold_rmse(structure, theta, folds), theta
@@ -240,7 +236,7 @@ def forward_select(obs: UnivariateObs, covariates: dict,
 
     def score_model(names: tuple, spatial: bool) -> tuple:
         X = _design(covariates, names, n_sites)
-        return cv_score(obs, X, spatial, mesh, folds, config, A=A, names=names)
+        return cv_score(obs, X, spatial, mesh, folds, config, A=A)
 
     current: tuple = ()
     base_score, base_theta = score_model(current, use_spatial)

@@ -713,7 +713,7 @@ class TestSelect:
         assert header == "parameter,step,added,cv_score"
 
 
-def test_import_leaves_out_unused_scipy_modules():
+def test_import_leaves_out_unused_scipy_modules(tmp_path):
     # scipy.stats, scipy.optimize and the worker pool's multiprocessing load
     # only inside the functions using them
     code = ("import sys, spatgev.cli; "
@@ -741,3 +741,29 @@ def test_import_leaves_out_unused_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+    # nor does cv with its default variants, RSM among them; the config is
+    # the CI console-script step's
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 1, "transform_descriptors": False,
+        "scenario": {"n_sites": 8, "record_length": 30},
+        "mcmc": {"n_chains": 1, "n_iterations": 40, "n_kept": 10},
+        "cv": {"min_start_year": 1990, "n_heldout": 2, "n_samples": 200}}))
+    sim, cv = str(tmp_path / "sim"), str(tmp_path / "cv")
+    code = "\n".join([
+        "import os, sys",
+        "from spatgev.cli import main",
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+        f"assert main(['simulate', '--config', {str(cfg)!r}, '--out', {sim!r}]) == 0",
+        f"assert main(['cv', '--config', {str(cfg)!r}, '--out', {cv!r},",
+        f"             '--maxima', {os.path.join(sim, 'maxima.csv')!r},",
+        f"             '--sites', {os.path.join(sim, 'sites.csv')!r}]) == 0",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "False"
+    assert not os.path.exists(os.path.join(cv, "cv_failures.json"))
+    with open(os.path.join(cv, "cv_within.csv")) as fh:
+        models = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
+    assert models == ["CONST", "MLE", "RSM", "LGM-IID", "LGM-COV", "LGM-FULL"]
