@@ -19,8 +19,9 @@ would import the package again (about 0.2 s for the CLI's modules and 0.3 s
 more for the scipy.sparse and scipy.linalg.lapack that factoring tasks use:
 medians of 15 on a shared 2-vCPU x86-64 host, Python 3.11, numpy 2.4, scipy
 1.17) and need every task pickled.
-The package starts no threads of its own, so the fork copies no lock that
-another thread holds.
+The package starts no threads, and it sets BLAS to one thread unless the
+user chose a count (spatgev/__init__.py), so the fork copies no lock that
+another thread holds and each worker keeps to its core.
 
 An exception raised by task(k) is raised again in the caller, and when
 several tasks fail it is the one with the lowest index, as in the serial

@@ -8,6 +8,13 @@ artifact.  Reruns with the same inputs are byte-identical except the manifest
 timestamp.  Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.
 
+The config sections are scenario, spatial, mesh, priors, mcmc, selection,
+cv, predict, aggregate and files.  Each is declared once, by the fields of
+its class in _SECTIONS, and every command builds all of them before any
+work: an unknown key or a wrong JSON type exits 2 naming it.  select, fit
+and cv share priors and mesh: their latent structures take the one priors
+section, and their fields live on a mesh built with the one mesh section.
+
 A fit directory is the whole fit.  Besides the draws (theta_draws.csv, and
 the latent eta_draws.npy and nu_draws.npy: float64 arrays of one row per
 kept draw in NumPy's binary format), their summaries (theta_summary.csv,
@@ -39,6 +46,7 @@ import json
 import os
 import sys
 import typing
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -63,7 +71,14 @@ from .dataio import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import DEFAULT_VARIANTS, make_cv_plan, run_cv
-from .latent import McmcConfig, SmoothResult, ThetaSamples, build_structure, smooth_step
+from .latent import (
+    McmcConfig,
+    Priors,
+    SmoothResult,
+    ThetaSamples,
+    build_structure,
+    smooth_step,
+)
 from .predict import UngaugedSite, posterior_predictive, return_level, ungauged_return_level
 from .selection import SelectionConfig, select_all
 from .simulate import Scenario, simulate_dataset
@@ -96,24 +111,62 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-# config sections that build an object, with its class
-_SECTIONS = {"scenario": Scenario, "mesh": MeshOptions, "mcmc": McmcConfig,
-             "selection": SelectionConfig}
-# config sections read key by key, with the JSON types each key takes
-_NULL = type(None)
-_KEY_TYPES = {
-    "priors": {"s0": (float,), "rho0": (float, _NULL), "eps0": (float,),
-               "sigma_beta": (float,)},
-    "cv": {"split_year": (float,), "complete_through": (float,),
-           "min_start_year": (float,), "n_heldout": (int,), "seed": (int,),
-           "n_eff_time": (float, _NULL), "n_eff_space": (float,), "variants": (list,),
-           "n_samples": (int,), "n_samples_trend": (int,)},
-    "predict": {"year": (float, _NULL), "stations": (list, _NULL),
-                "include_nugget": (bool,)},
-    "aggregate": {"stations": (list, _NULL), "weights": (tuple, _NULL),
-                  "year_range": (tuple, _NULL), "periods": (tuple,), "n_blocks": (int,),
-                  "pool_size": (int,), "n_bootstrap": (int,)},
-}
+RETURN_PERIODS = (10.0, 50.0, 100.0)  # years; the default of return_periods
+
+
+# the config sections that no library class declares
+@dataclass
+class SpatialConfig:  # the link parameters that get a field
+    psi: bool = False
+    tau: bool = False
+    phi: bool = False
+    gamma: bool = False
+
+
+@dataclass
+class CvConfig:
+    split_year: float = 2000.0  # last training year
+    complete_through: float = 2013.0  # last test year
+    min_start_year: float = 1980.0  # eligible stations start before it
+    n_heldout: int = 6  # stations held out for out-of-site scoring
+    seed: int = 0  # held-out draw; defaults to the run's seed
+    n_eff_time: float | None = None  # None: the number of test years
+    n_eff_space: float = 50.0
+    variants: list = field(default_factory=lambda: list(DEFAULT_VARIANTS))
+    n_samples: int = 32_000  # predictive samples per stationary LGM site
+    n_samples_trend: int = 3_200  # the same per site and year under a trend
+
+
+@dataclass
+class PredictConfig:  # aggregate reads year too
+    year: float | None = None  # None: the levels at the trend's t0
+    stations: list | None = None  # None: every station
+    include_nugget: bool = True  # ungauged draws add the nugget
+
+
+@dataclass
+class AggregateConfig:
+    stations: list | None = None  # None: every station
+    weights: tuple | None = None  # one per station; None: all 1
+    year_range: tuple | None = None  # first and last year; None: all years
+    periods: tuple = RETURN_PERIODS  # defaults to the run's return_periods
+    n_blocks: int = 200
+    pool_size: int = 20_000  # predictive samples per station
+    n_bootstrap: int = 500
+
+
+@dataclass
+class FilesConfig:  # the command line options of the same names override these
+    maxima: str | None = None
+    sites: str | None = None
+    targets: str | None = None
+
+
+# every nested config section, with the class it builds
+_SECTIONS = {"scenario": Scenario, "spatial": SpatialConfig, "mesh": MeshOptions,
+             "priors": Priors, "mcmc": McmcConfig, "selection": SelectionConfig,
+             "cv": CvConfig, "predict": PredictConfig, "aggregate": AggregateConfig,
+             "files": FilesConfig}
 
 
 def _load_config(args) -> RunConfig:
@@ -121,23 +174,23 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_json(getattr(args, "config", None) or "{}")
     for key in _SECTIONS:
         _section(cfg, key)
-    for key, types in _KEY_TYPES.items():
-        for name, value in cfg.get(key, {}).items():
-            check_type(f"{key}.{name}", value, types[name])
-    if "return_periods" in cfg.raw:
-        check_type("return_periods", cfg.raw["return_periods"], (tuple,))
     return cfg
 
 
 def _section(cfg: RunConfig, key: str):
     """Config section key as its class, each value checked against the field type.
 
-    A seed field defaults to the run's seed.  The object is validated when its
+    An unknown key is refused.  A seed field defaults to the run's seed, and
+    a periods field to return_periods.  The object is validated when its
     class has a validate method; a ValueError there is a ConfigError.
     """
     cls = _SECTIONS[key]
     hints = typing.get_type_hints(cls)
-    values = {**({"seed": cfg.seed} if "seed" in hints else {}), **cfg.get(key, {})}
+    unknown = set(cfg.get(key, {})) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown keys under {key!r}: {sorted(unknown)}")
+    run_level = {"seed": cfg.seed, "periods": list(cfg.get("return_periods", RETURN_PERIODS))}
+    values = {**{k: v for k, v in run_level.items() if k in hints}, **cfg.get(key, {})}
     for name, value in values.items():
         check_type(f"{key}.{name}", value, typing.get_args(hints[name]) or (hints[name],))
         if hints[name] is tuple:
@@ -169,10 +222,17 @@ def _out_path(args, name: str) -> str:
 
 
 def _file_from(cfg: RunConfig, args, key: str) -> str | None:
-    override = getattr(args, key.replace("-", "_"), None)
-    if override:
-        return override
-    return cfg.get("files", {}).get(key)
+    return getattr(args, key, None) or getattr(_section(cfg, "files"), key)
+
+
+def _station_table(path: str):
+    """(ids, values, lower-case names, descriptor names, descriptor columns)."""
+    ids, names, values = read_descriptors_csv(path)
+    lower = [n.lower() for n in names]
+    if "x" not in lower or "y" not in lower:
+        raise DataError(f"{path}: needs coordinate columns x and y")
+    desc_cols = [k for k, n in enumerate(lower) if n not in ("x", "y", "pooling_ok")]
+    return ids, values, lower, [names[k] for k in desc_cols], desc_cols
 
 
 def _load_inputs(cfg: RunConfig, args):
@@ -185,10 +245,7 @@ def _load_inputs(cfg: RunConfig, args):
     if sites_path is None:
         return group_maxima(rows), None
 
-    ids, names, values = read_descriptors_csv(sites_path)
-    lower = [n.lower() for n in names]
-    if "x" not in lower or "y" not in lower:
-        raise DataError(f"{sites_path}: needs coordinate columns x and y")
+    ids, values, lower, dnames, desc_cols = _station_table(sites_path)
     coords = {st: (values[k, lower.index("x")], values[k, lower.index("y")])
               for k, st in enumerate(ids)}
     ds = group_maxima(rows, sites_by_station=coords)
@@ -201,10 +258,8 @@ def _load_inputs(cfg: RunConfig, args):
             _progress(f"dropping {ds.n_sites - len(keep)} stations with pooling_ok=0")
         ds = ds.subset(keep)
 
-    desc_cols = [k for k, n in enumerate(lower) if n not in ("x", "y", "pooling_ok")]
     transform = None
     if desc_cols:
-        dnames = [names[k] for k in desc_cols]
         row_of = {st: k for k, st in enumerate(ids)}
         vals = values[[row_of[st] for st in ds.station_ids]][:, desc_cols]
         if cfg.get("transform_descriptors", True):
@@ -223,24 +278,6 @@ def _max_step(cfg: RunConfig, ds: MaximaDataset) -> StackedFits:
     return fit_all_sites(ds.records, trend=bool(cfg.get("trend", False)),
                          station_ids=ds.station_ids,
                          **({"t0": t0} if t0 is not None else {}))
-
-
-def _designs_from_config(cfg: RunConfig, ds: MaximaDataset) -> dict:
-    designs = {}
-    psi_names = cfg.get("covariates", [])
-    tau_names = cfg.get("tau_covariates", [])
-    if psi_names:
-        designs["psi"] = ds.design_matrix(psi_names)
-    if tau_names:
-        designs["tau"] = ds.design_matrix(tau_names)
-    return designs
-
-
-def _covariate_names_map(cfg: RunConfig) -> dict:
-    return {
-        "psi": tuple(cfg.get("covariates", [])),
-        "tau": tuple(cfg.get("tau_covariates", [])),
-    }
 
 
 # ----------------------------------------------------------------------------
@@ -319,11 +356,10 @@ def cmd_select(args) -> int:
     _progress(f"fitting {ds.n_sites} sites")
     stacked = _max_step(cfg, ds)
     mesh = build_mesh(ds.sites, _section(cfg, "mesh"))
-    sel_cfg = _section(cfg, "selection")
     covariates = {nm: ds.covariates[:, j] for j, nm in enumerate(ds.covariate_names)}
     _progress("forward selection per parameter")
     results = select_all(stacked, covariates, mesh=mesh, sites=ds.sites,
-                         config=sel_cfg)
+                         config=_section(cfg, "selection"), priors=_section(cfg, "priors"))
 
     table_rows = []
     summary = {}
@@ -349,13 +385,13 @@ def cmd_select(args) -> int:
 
 def _structure_from(cfg: RunConfig, ds: MaximaDataset, stacked: StackedFits,
                     mesh: Mesh | None):
-    spatial = {k: bool(v) for k, v in cfg.get("spatial", {}).items()}
-    structure = build_structure(
-        stacked, _designs_from_config(cfg, ds), spatial, sites=ds.sites,
-        mesh=mesh, covariate_names=_covariate_names_map(cfg),
-        **cfg.get("priors", {}),
+    names = {"psi": tuple(cfg.get("covariates", [])),
+             "tau": tuple(cfg.get("tau_covariates", []))}
+    return build_structure(
+        stacked, {p: ds.design_matrix(n) for p, n in names.items() if n},
+        vars(_section(cfg, "spatial")), sites=ds.sites, mesh=mesh,
+        priors=_section(cfg, "priors"), covariate_names=names,
     )
-    return structure
 
 
 def _max_step_header(q: int) -> list:
@@ -408,7 +444,7 @@ def cmd_fit(args) -> int:
     _progress(f"max step: fitting {ds.n_sites} sites")
     stacked = _max_step(cfg, ds)
     mesh = (build_mesh(ds.sites, _section(cfg, "mesh"))
-            if any(cfg.get("spatial", {}).values()) else None)
+            if any(vars(_section(cfg, "spatial")).values()) else None)
     structure = _structure_from(cfg, ds, stacked, mesh)
     mcmc = _section(cfg, "mcmc")
     _progress(f"smooth step: {mcmc.n_chains} chains x {mcmc.n_iterations} iterations")
@@ -462,7 +498,7 @@ def cmd_fit(args) -> int:
     write_json_atomic(path, {
         "covariates": list(cfg.get("covariates", [])),
         "tau_covariates": list(cfg.get("tau_covariates", [])),
-        "spatial": {k: bool(v) for k, v in cfg.get("spatial", {}).items()},
+        "spatial": cfg.get("spatial", {}),
         "trend": bool(cfg.get("trend", False)),
         "t0": cfg.get("t0"),
         "priors": cfg.get("priors", {}),
@@ -599,36 +635,38 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
 
 
 def _periods_from(cfg: RunConfig) -> list:
-    periods = cfg.get("return_periods", [10.0, 50.0, 100.0])
+    periods = cfg.get("return_periods", RETURN_PERIODS)
     if not periods:
         raise ConfigError("return_periods must not be empty")
     return [float(p) for p in periods]
 
 
+def _write_levels(args, command: str, cfg: RunConfig, name: str, curves: list, year) -> int:
+    """Write one row per period of each (station, curve), then the manifest."""
+    rows = [[st, _fmt(period), "" if year is None else _fmt(year), _fmt(curve.mean[k]),
+             _fmt(curve.lower[k]), _fmt(curve.upper[k])]
+            for st, curve in curves for k, period in enumerate(curve.periods)]
+    path = _out_path(args, name)
+    write_csv_atomic(path, ["station", "period", "year", "mean", "lower", "upper"], rows)
+    _write_manifest(args.out, command, cfg, [(name, path)])
+    return 0
+
+
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
     result, ds, model = _load_fit(args.fit, cfg, args)
-    section = cfg.get("predict", {})
-    year = section.get("year")
-    stations = section.get("stations") or list(ds.station_ids)
+    opts = _section(cfg, "predict")
+    stations = opts.stations or list(ds.station_ids)
     periods = _periods_from(cfg)
     index = {st: i for i, st in enumerate(ds.station_ids)}
 
-    rows = []
+    curves = []
     for st in stations:
         if st not in index:
             raise ConfigError(f"unknown station {st!r}")
-        curve = return_level(result, index[st], periods, year=year,
-                             t0=model.get("t0"))
-        for k, period in enumerate(curve.periods):
-            rows.append([st, _fmt(period), "" if year is None else _fmt(year),
-                         _fmt(curve.mean[k]), _fmt(curve.lower[k]),
-                         _fmt(curve.upper[k])])
-    path = _out_path(args, "return_levels.csv")
-    write_csv_atomic(path, ["station", "period", "year", "mean", "lower", "upper"],
-                     rows)
-    _write_manifest(args.out, "predict", cfg, [("return_levels.csv", path)])
-    return 0
+        curves.append((st, return_level(result, index[st], periods, year=opts.year,
+                                        t0=model.get("t0"))))
+    return _write_levels(args, "predict", cfg, "return_levels.csv", curves, opts.year)
 
 
 def cmd_return_levels(args) -> int:
@@ -637,14 +675,7 @@ def cmd_return_levels(args) -> int:
     targets_path = _file_from(cfg, args, "targets")
     if targets_path is None:
         raise ConfigError("no targets file (use --targets or files.targets)")
-    ids, names, values = read_descriptors_csv(targets_path)
-    lower = [n.lower() for n in names]
-    if "x" not in lower or "y" not in lower:
-        raise DataError(f"{targets_path}: needs coordinate columns x and y")
-    coord_cols = (lower.index("x"), lower.index("y"))
-
-    desc_cols = [k for k, n in enumerate(lower) if n not in ("x", "y", "pooling_ok")]
-    dnames = [names[k] for k in desc_cols]
+    ids, values, lower, dnames, desc_cols = _station_table(targets_path)
     raw = values[:, desc_cols]
     if model.get("transform") is not None:
         transform = DescriptorTransform.from_dict(model["transform"])
@@ -663,12 +694,11 @@ def cmd_return_levels(args) -> int:
             row.append(covs[k, col_of[nm]])
         return np.asarray(row)
 
-    year = cfg.get("predict", {}).get("year")
-    include_nugget = bool(cfg.get("predict", {}).get("include_nugget", True))
+    opts = _section(cfg, "predict")
     periods = _periods_from(cfg)
     rng = np.random.default_rng(cfg.seed)
 
-    rows = []
+    curves = []
     for k, st in enumerate(ids):
         design_rows = {"psi": design_row(model["covariates"], k),
                        "tau": design_row(model["tau_covariates"], k),
@@ -676,39 +706,26 @@ def cmd_return_levels(args) -> int:
         if model["trend"]:
             design_rows["gamma"] = np.array([1.0])
         site = UngaugedSite(
-            coords=np.array([values[k, coord_cols[0]], values[k, coord_cols[1]]]),
+            coords=np.array([values[k, lower.index("x")], values[k, lower.index("y")]]),
             design_rows=design_rows,
         )
-        curve = ungauged_return_level(result, site, periods, rng, year=year,
-                                      t0=model.get("t0"),
-                                      include_nugget=include_nugget)
-        for j, period in enumerate(curve.periods):
-            rows.append([st, _fmt(period), "" if year is None else _fmt(year),
-                         _fmt(curve.mean[j]), _fmt(curve.lower[j]),
-                         _fmt(curve.upper[j])])
-    path = _out_path(args, "ungauged_levels.csv")
-    write_csv_atomic(path, ["station", "period", "year", "mean", "lower", "upper"],
-                     rows)
-    _write_manifest(args.out, "return-levels", cfg, [("ungauged_levels.csv", path)])
-    return 0
+        curves.append((st, ungauged_return_level(result, site, periods, rng, year=opts.year,
+                                                  t0=model.get("t0"),
+                                                  include_nugget=opts.include_nugget)))
+    return _write_levels(args, "return-levels", cfg, "ungauged_levels.csv", curves, opts.year)
 
 
 def cmd_cv(args) -> int:
     cfg = _load_config(args)
     ds, _ = _load_inputs(cfg, args)
-    section = cfg.get("cv", {})
-    if "variants" in section and not section["variants"]:
+    opts = _section(cfg, "cv")
+    if not opts.variants:
         raise ConfigError("cv variant list is empty")
-    variants = tuple(section.get("variants", DEFAULT_VARIANTS))
+    variants = tuple(opts.variants)
     plan = make_cv_plan(
-        ds,
-        train_end_year=float(section.get("split_year", 2000.0)),
-        test_end_year=float(section.get("complete_through", 2013.0)),
-        n_heldout=int(section.get("n_heldout", 6)),
-        min_start_year=float(section.get("min_start_year", 1980.0)),
-        seed=int(section.get("seed", cfg.seed)),
-        n_eff_time=section.get("n_eff_time"),
-        n_eff_space=float(section.get("n_eff_space", 50.0)),
+        ds, train_end_year=opts.split_year, test_end_year=opts.complete_through,
+        n_heldout=opts.n_heldout, min_start_year=opts.min_start_year, seed=opts.seed,
+        n_eff_time=opts.n_eff_time, n_eff_space=opts.n_eff_space,
     )
     _progress(f"cross-validation: {len(variants)} variants, "
               f"{plan.train_sites.size} training and "
@@ -717,10 +734,12 @@ def cmd_cv(args) -> int:
         ds, plan, variants=variants,
         covariate_names=cfg.get("covariates") or None,
         mcmc=_section(cfg, "mcmc"),
-        n_samples=int(section.get("n_samples", 32_000)),
-        n_samples_trend=int(section.get("n_samples_trend", 3_200)),
+        n_samples=opts.n_samples,
+        n_samples_trend=opts.n_samples_trend,
         seed=cfg.seed,
         t0=cfg.get("t0"),
+        priors=_section(cfg, "priors"),
+        mesh_options=_section(cfg, "mesh"),
     )
 
     outputs = []
@@ -756,38 +775,32 @@ def cmd_cv(args) -> int:
 def cmd_aggregate(args) -> int:
     cfg = _load_config(args)
     result, ds, model = _load_fit(args.fit, cfg, args)
-    section = cfg.get("aggregate", {})
+    opts = _section(cfg, "aggregate")
     index = {st: i for i, st in enumerate(ds.station_ids)}
-    stations = section.get("stations") or list(ds.station_ids)
+    stations = opts.stations or list(ds.station_ids)
     missing = [st for st in stations if st not in index]
     if missing:
         raise ConfigError(f"unknown stations in aggregate.stations: {missing}")
     station_indices = np.array([index[st] for st in stations])
-    year_range = section.get("year_range")
-    if year_range is not None and len(year_range) != 2:
+    if opts.year_range is not None and len(opts.year_range) != 2:
         raise ConfigError("aggregate.year_range must hold a first and a last year")
-    block = historical_block(ds, station_indices,
-                             year_range=None if year_range is None
-                             else (float(year_range[0]), float(year_range[1])))
+    block = historical_block(ds, station_indices, year_range=opts.year_range)
 
-    weights = section.get("weights")
-    if weights is None:
-        weights = np.ones(block.n_sites)
-    else:
-        if len(weights) != len(stations):
+    weights = np.ones(block.n_sites)
+    if opts.weights is not None:
+        if len(opts.weights) != len(stations):
             raise ConfigError("aggregate.weights must match aggregate.stations")
-        w_of = dict(zip(station_indices, weights))
+        w_of = dict(zip(station_indices, opts.weights))
         weights = np.array([float(w_of[i]) for i in block.station_indices])
 
-    year = cfg.get("predict", {}).get("year")
-    pool_size = int(section.get("pool_size", 20_000))
-    n_blocks = int(section.get("n_blocks", 200))
-    periods = [float(p) for p in section.get("periods", _periods_from(cfg))]
+    year = _section(cfg, "predict").year
+    if not opts.periods:
+        raise ConfigError("aggregate.periods must not be empty")
 
     _progress(f"aggregate: {block.n_sites} stations x {block.n_years} years, "
-              f"{n_blocks} blocks")
+              f"{opts.n_blocks} blocks")
     rng_pool = np.random.default_rng(cfg.seed)
-    n_per = max(1, -(-pool_size // result.n_draws))
+    n_per = max(1, -(-opts.pool_size // result.n_draws))
     pools = [posterior_predictive(result, int(i), rng_pool, year=year,
                                   n_per_draw=n_per, t0=model.get("t0"))
              for i in block.station_indices]
@@ -796,9 +809,9 @@ def cmd_aggregate(args) -> int:
         return np.vstack([pool[rng.integers(0, pool.size, size=block.n_years)]
                           for pool in pools])
 
-    grown = grow_samples(block, sampler, n_blocks=n_blocks, seed=cfg.seed + 1)
-    curve = aggregate_return_levels(grown, weights, periods,
-                                    n_bootstrap=int(section.get("n_bootstrap", 500)),
+    grown = grow_samples(block, sampler, n_blocks=opts.n_blocks, seed=cfg.seed + 1)
+    curve = aggregate_return_levels(grown, weights, opts.periods,
+                                    n_bootstrap=opts.n_bootstrap,
                                     seed=cfg.seed + 2)
 
     path = _out_path(args, "aggregate_levels.csv")
@@ -810,7 +823,7 @@ def cmd_aggregate(args) -> int:
     write_json_atomic(meta_path, {
         "stations": [ds.station_ids[i] for i in block.station_indices],
         "years": [block.years[0], block.years[-1]],
-        "n_blocks": n_blocks,
+        "n_blocks": opts.n_blocks,
         "n_ties": block.n_ties,
         "tie_rule": block.tie_rule,
     })

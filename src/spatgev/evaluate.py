@@ -21,7 +21,7 @@ import numpy as np
 from .dataio import MaximaDataset
 from .errors import ConfigError, DataError, NumericalError
 from .gev import GevParams, link_inverse, LinkedParams, logpdf, shape_inverse
-from .latent import McmcConfig, build_structure, smooth_step
+from .latent import McmcConfig, Priors, build_structure, smooth_step
 from .predict import UngaugedSite, posterior_predictive
 from .site_fit import (
     StackedFits,
@@ -410,25 +410,18 @@ def _gev_bits(cells: list, mu, sigma, xi) -> np.ndarray:
     return _bits_from_density(np.exp(logpdf(values, mu, sigma, xi)))
 
 
-def _lgm_designs(dataset: MaximaDataset, spec: ModelSpec, sites: np.ndarray,
-                 covariate_names: list) -> dict:
-    if spec.covariates and covariate_names:
-        X = dataset.subset(sites).design_matrix(covariate_names)
-        return {"psi": X, "tau": X}
-    return {}
-
-
 def _fit_lgm(dataset: MaximaDataset, spec: ModelSpec, plan: CvPlan,
-             covariate_names: list, mcmc: McmcConfig, mesh, stacked: StackedFits):
-    designs = _lgm_designs(dataset, spec, plan.train_sites, covariate_names)
-    spatial_flags = {"psi": spec.spatial, "tau": spec.spatial}
-    names = {}
+             covariate_names: list, mcmc: McmcConfig, mesh, stacked: StackedFits,
+             priors: Priors | None = None):
+    designs, names = {}, {}
     if spec.covariates and covariate_names:
+        X = dataset.subset(plan.train_sites).design_matrix(covariate_names)
+        designs = {"psi": X, "tau": X}
         names = {"psi": tuple(covariate_names), "tau": tuple(covariate_names)}
     structure = build_structure(
-        stacked, designs=designs, spatial=spatial_flags,
+        stacked, designs=designs, spatial={"psi": spec.spatial, "tau": spec.spatial},
         sites=dataset.sites[plan.train_sites],
-        mesh=mesh if spec.spatial else None, covariate_names=names,
+        mesh=mesh if spec.spatial else None, priors=priors, covariate_names=names,
     )
     return smooth_step(structure, mcmc)
 
@@ -450,7 +443,8 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
            covariate_names: list | None = None,
            mcmc: McmcConfig | None = None,
            n_samples: int = 32_000, n_samples_trend: int = 3_200,
-           seed: int = 0, t0: float | None = None, mesh=None) -> CvResult:
+           seed: int = 0, t0: float | None = None, mesh=None,
+           priors: Priors | None = None, mesh_options=None) -> CvResult:
     """Fit every variant on the training window and score test cells.
 
     Within-site cells are test-year observations at training stations;
@@ -458,7 +452,9 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
     per-site ML benchmark is not applicable there).  Densities below the
     floor are excluded and tallied per model.  The training sites are fit
     once per trend setting: MLE and the stationary LGM variants share one
-    stationary max step.
+    stationary max step.  The LGM variants' structures take priors
+    (default Priors()); their fields live on mesh, which is built from all
+    the sites with mesh_options (spde.MeshOptions) when not given.
     """
     plan.validate()
     mcmc = mcmc or McmcConfig()
@@ -476,7 +472,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
             v in LGM_VARIANTS and LGM_VARIANTS[v].spatial for v in variants):
         from .spde import build_mesh
 
-        mesh = build_mesh(dataset.sites)
+        mesh = build_mesh(dataset.sites, mesh_options)
 
     within_cells = _test_observations(dataset, plan.train_sites, plan.test_years)
     out_cells = _test_observations(dataset, plan.heldout_sites, plan.test_years)
@@ -523,7 +519,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
             else:
                 spec = LGM_VARIANTS[name]
                 result = _fit_lgm(dataset, spec, plan, covariate_names, mcmc,
-                                  mesh, site_fits(spec.trend))
+                                  mesh, site_fits(spec.trend), priors)
                 total = n_samples_trend if spec.trend else n_samples
                 n_per = max(1, round(total / result.n_draws))
 

@@ -199,7 +199,7 @@ def reduced_variate_derivs(z, xi):
         return inv_u, z * z * l1, z * z * z * l2
 
 
-def logpdf_derivatives(z, xi, w=None):
+def logpdf_derivatives(z, xi):
     """Derivatives of g(z, xi) = -(1 + xi)*w - exp(-w), w = reduced_variate(z, xi).
 
     The log-density is -log(scale) + g.  Returns the arrays (g_z, g_xi,
@@ -208,12 +208,10 @@ def logpdf_derivatives(z, xi, w=None):
     -z/u^2, w_xi = z^2 L'(x) and w_xixi = z^3 L''(x) for L(x) =
     log1p(x)/x, whose closed forms cancel near x = 0: there, |x| <
     XZ_SWITCH (which holds for every z when xi = 0), the power series is
-    used.  A caller that has w already passes it.  Outside the support the
-    values are not finite.
+    used.  Outside the support the values are not finite.
     """
     z = np.asarray(z, dtype=float)
-    if w is None:
-        w = reduced_variate(z, xi)
+    w = reduced_variate(z, xi)
     inv_u, w_xi, w_xixi = reduced_variate_derivs(z, xi)
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(-w)
@@ -226,13 +224,9 @@ def logpdf_derivatives(z, xi, w=None):
     return g_z, g_xi, g_zz, g_zxi, g_xixi
 
 
-def logpdf(y, loc, scale, xi, w=None):
-    """GEV log-density; -inf outside the support.
-
-    w is reduced_variate((y - loc) / scale, xi), when the caller has it.
-    """
-    if w is None:
-        w = reduced_variate((y - loc) / scale, xi)
+def logpdf(y, loc, scale, xi):
+    """GEV log-density; -inf outside the support."""
+    w = reduced_variate((y - loc) / scale, xi)
     with np.errstate(over="ignore", invalid="ignore"):
         out = -np.log(scale) - (1.0 + xi) * w - np.exp(-w)
     return np.where(np.isfinite(w), out, -np.inf)

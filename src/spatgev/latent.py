@@ -60,6 +60,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ParamModel",
+    "Priors",
     "LatentStructure",
     "build_structure",
     "marginal_loglik",
@@ -74,6 +75,8 @@ __all__ = [
 
 SIGMA_BETA = 10.0
 PARAM_LABELS = ("psi", "tau", "phi", "gamma")
+TARGET_ACCEPT = 0.234  # the adaptive walk's acceptance rate during burn-in
+RHAT_WARN = 1.05  # a split-Rhat above this sets the "warn" status
 
 
 @dataclass
@@ -84,6 +87,29 @@ class ParamModel:
     design: np.ndarray  # (J, p_l), first column the intercept
     spatial: bool = False
     covariate_names: tuple = ()  # names for design columns after the intercept
+
+
+@dataclass
+class Priors:
+    """Prior scales: 5% prior mass above s0 on each field sd, below rho0 on
+    each field range (None: a tenth of the mesh diameter) and above eps0 on
+    each nugget sd; coefficients N(0, sigma_beta^2)."""
+
+    s0: float = 1.0
+    rho0: float | None = None
+    eps0: float = 1.0
+    sigma_beta: float = SIGMA_BETA
+
+    def validate(self) -> None:
+        if min(self.s0, self.eps0, self.sigma_beta) <= 0 or (
+                self.rho0 is not None and self.rho0 <= 0):
+            raise ValueError("prior scales must be positive")
+
+    def structure_fields(self, mesh: Mesh | None) -> dict:
+        """LatentStructure's prior fields on mesh; rho0 None is 1 without one."""
+        rho0 = self.rho0 if self.rho0 is not None else (
+            0.1 * mesh.diameter if mesh is not None else 1.0)
+        return {"s0": self.s0, "rho0": rho0, "eps0": self.eps0, "sigma_beta": self.sigma_beta}
 
 
 @dataclass(frozen=True)
@@ -315,16 +341,15 @@ class LatentStructure:
 
 def build_structure(stacked: StackedFits, designs: dict[str, np.ndarray],
                     spatial: dict[str, bool], sites: np.ndarray | None = None,
-                    mesh: Mesh | None = None, s0: float = 1.0,
-                    rho0: float | None = None, eps0: float = 1.0,
-                    sigma_beta: float = SIGMA_BETA,
+                    mesh: Mesh | None = None, priors: Priors | None = None,
                     covariate_names: dict | None = None) -> LatentStructure:
     """Assemble the latent structure from stacked site fits.
 
     designs maps parameter names (psi, tau, phi, gamma) to (J, p) matrices; a
     missing entry means intercept only.  spatial marks which parameters get a
     field.  The mesh is built from the sites when needed and not supplied.
-    covariate_names optionally labels the non-intercept design columns.
+    priors defaults to Priors().  covariate_names optionally labels the
+    non-intercept design columns.
     """
     q = stacked.n_params
     labels = PARAM_LABELS[:q]
@@ -351,11 +376,9 @@ def build_structure(stacked: StackedFits, designs: dict[str, np.ndarray],
             raise ConfigError(f"covariate names for {name!r} do not match the design")
         params.append(ParamModel(name=name, design=X, spatial=bool(spatial.get(name, False)),
                                  covariate_names=names_l))
-    if rho0 is None:
-        rho0 = 0.1 * mesh.diameter if mesh is not None else 1.0
     return LatentStructure(
         eta_hat=stacked.eta.copy(), prec_blocks=stacked.prec_blocks, params=params,
-        mesh=mesh, A=A, s0=s0, rho0=rho0, eps0=eps0, sigma_beta=sigma_beta,
+        mesh=mesh, A=A, **(priors or Priors()).structure_fields(mesh),
     )
 
 
@@ -442,8 +465,6 @@ class McmcConfig:
     n_chains: int = 4
     n_iterations: int = 12_500
     n_kept: int = 1_000  # per chain, taken after burn-in with even thinning
-    target_accept: float = 0.234
-    rhat_warn: float = 1.05
     seed: int = 0
 
     @property
@@ -587,7 +608,7 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
                 # Robbins-Monro scale plus running covariance (Haario)
                 alpha = math.exp(min(0.0, log_alpha)) if np.isfinite(log_alpha) else 0.0
                 gamma = (t + 1) ** -0.6
-                log_scale += gamma * (alpha - config.target_accept)
+                log_scale += gamma * (alpha - TARGET_ACCEPT)
                 dx = x - mean
                 mean += gamma * dx
                 cov = (1.0 - gamma) * cov + gamma * np.outer(dx, dx)
@@ -620,11 +641,11 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
     ess = _ess(kept)
     warnings = []
     status = "ok"
-    if np.any(rhat > config.rhat_warn):
+    if np.any(rhat > RHAT_WARN):
         status = "warn"
-        bad = [structure.theta_names[j] for j in np.where(rhat > config.rhat_warn)[0]]
+        bad = [structure.theta_names[j] for j in np.where(rhat > RHAT_WARN)[0]]
         warnings.append(
-            f"split-Rhat above {config.rhat_warn} for {', '.join(bad)}; "
+            f"split-Rhat above {RHAT_WARN} for {', '.join(bad)}; "
             "chains may not have mixed"
         )
     draws = np.exp(kept.reshape(-1, d))

@@ -9,6 +9,8 @@ compared by K-fold cross-validation over sites, scoring each fold by the
 root mean squared error between held-out pseudo-observations and the
 posterior mean regression surface.
 
+The candidates' priors are a latent.Priors; the CLI builds it from the run
+configuration's one priors section, which fit and cv read too.
 Hyperparameters are estimated once per candidate model on the full data
 from a posterior grid, then held fixed across folds; refitting them inside
 every fold would multiply the cost tenfold for no measurable change in the
@@ -28,6 +30,7 @@ from .errors import ConfigError
 from .latent import (
     LatentStructure,
     ParamModel,
+    Priors,
     _collapsed_system,
     log_prior_theta,
     marginal_loglik,
@@ -56,10 +59,6 @@ class SelectionConfig:
     spatial_pct: float = 0.03  # keep the field only above this relative gain
     seed: int = 0  # fold assignment
     grid_size: int = 6  # points per hyperparameter axis
-    s0: float = 1.0
-    rho0: float | None = None  # None uses a tenth of the mesh diameter
-    eps0: float = 1.0
-    sigma_beta: float = 10.0
 
     def validate(self) -> None:
         if self.n_folds < 2:
@@ -104,22 +103,16 @@ def make_folds(n_sites: int, n_folds: int, seed: int = 0) -> list:
 
 
 def _build_candidate(obs: UnivariateObs, X: np.ndarray, spatial: bool,
-                     mesh: Mesh | None, A, config: SelectionConfig) -> LatentStructure:
+                     mesh: Mesh | None, A, priors: Priors) -> LatentStructure:
     """One regression model for one parameter as a one-parameter latent structure."""
     prec = (1.0 / obs.var).reshape(-1, 1, 1)
-    rho0 = config.rho0
-    if rho0 is None and mesh is not None:
-        rho0 = 0.1 * mesh.diameter
     return LatentStructure(
         eta_hat=obs.eta.copy(),
         prec_blocks=prec,
         params=[ParamModel(name=obs.name, design=X, spatial=spatial)],
         mesh=mesh if spatial else None,
         A=A if spatial else None,
-        s0=config.s0,
-        rho0=rho0 if rho0 is not None else 1.0,
-        eps0=config.eps0,
-        sigma_beta=config.sigma_beta,
+        **priors.structure_fields(mesh),
     )
 
 
@@ -163,9 +156,12 @@ def _fold_rmse(structure: LatentStructure, theta: np.ndarray, folds: list) -> fl
 
 def cv_score(obs: UnivariateObs, X: np.ndarray, spatial: bool,
              mesh: Mesh | None, folds: list, config: SelectionConfig,
-             A=None) -> tuple:
-    """Fit hyperparameters once, then cross-validate; returns (score, theta)."""
-    structure = _build_candidate(obs, X, spatial, mesh, A, config)
+             A=None, priors: Priors | None = None) -> tuple:
+    """Fit hyperparameters once, then cross-validate; returns (score, theta).
+
+    priors defaults to Priors().
+    """
+    structure = _build_candidate(obs, X, spatial, mesh, A, priors or Priors())
     theta = _theta_grid(obs, structure, config)
     return _fold_rmse(structure, theta, folds), theta
 
@@ -215,7 +211,8 @@ def _design(covariates: dict, names: tuple, n_sites: int) -> np.ndarray:
 
 def forward_select(obs: UnivariateObs, covariates: dict,
                    mesh: Mesh | None = None, sites: np.ndarray | None = None,
-                   config: SelectionConfig | None = None) -> SelectionResult:
+                   config: SelectionConfig | None = None,
+                   priors: Priors | None = None) -> SelectionResult:
     """Greedy nested search over covariates, then the spatial-field decision.
 
     covariates maps name -> length-J column.  Candidates enter in score
@@ -236,7 +233,7 @@ def forward_select(obs: UnivariateObs, covariates: dict,
 
     def score_model(names: tuple, spatial: bool) -> tuple:
         X = _design(covariates, names, n_sites)
-        return cv_score(obs, X, spatial, mesh, folds, config, A=A)
+        return cv_score(obs, X, spatial, mesh, folds, config, A=A, priors=priors)
 
     current: tuple = ()
     base_score, base_theta = score_model(current, use_spatial)
@@ -278,7 +275,8 @@ def forward_select(obs: UnivariateObs, covariates: dict,
 def select_all(stacked: StackedFits, covariates: dict,
                mesh: Mesh | None = None, sites: np.ndarray | None = None,
                config: SelectionConfig | None = None,
-               parameters: tuple | None = None) -> dict:
+               parameters: tuple | None = None,
+               priors: Priors | None = None) -> dict:
     """Run forward selection for each transformed parameter.
 
     The parameters run in forked worker processes, one per available core
@@ -298,6 +296,6 @@ def select_all(stacked: StackedFits, covariates: dict,
 
     def select_one(k: int) -> SelectionResult:
         return forward_select(obs_by_param[parameters[k]], covariates, mesh=mesh,
-                              sites=sites, config=config)
+                              sites=sites, config=config, priors=priors)
 
     return dict(zip(parameters, run_indexed(select_one, len(parameters))))

@@ -5,13 +5,13 @@ asserted directly.  A shared pipeline fixture keeps the expensive steps
 (simulate + fit) to one run.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -21,8 +21,6 @@ import spatgev.evaluate
 import spatgev.spde
 from spatgev.cli import main
 from spatgev.dataio import RunConfig
-from spatgev.dataio import _NESTED_KEYS, _SCENARIO_KEYS
-from spatgev.simulate import Scenario
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -127,9 +125,6 @@ class TestSimulate:
         assert _manifest_without_timestamp(os.path.join(pipeline["sim"], "manifest.json")) == \
             _manifest_without_timestamp(os.path.join(out2, "manifest.json"))
 
-    def test_scenario_schema_matches_dataclass(self):
-        assert _SCENARIO_KEYS == {f.name for f in dataclasses.fields(Scenario)}
-
 
 class TestFitSites:
     def test_matches_golden_file(self, tmp_path):
@@ -190,12 +185,25 @@ class TestFit:
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
     def test_draws_equal_on_one_cpu_and_all(self, pipeline, tmp_path):
         # a fresh fit with fields on psi and tau pinned to one CPU with one
-        # BLAS thread (serial chains) and one unpinned (forked chains, the
-        # default BLAS threads) write the same draws, bit for bit
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**CONFIG, "spatial": {"psi": True, "tau": True},
-                                   "mcmc": {"n_chains": 2, "n_iterations": 60,
-                                            "n_kept": 10}}))
+        # BLAS thread (serial chains) and one on every CPU with no BLAS
+        # variable set (forked chains) write the same draws, bit for bit.
+        # The second case, 60 sites with a trend, has a factor band wide
+        # enough for threaded BLAS kernels to sum in another order
+        sim = str(tmp_path / "sim60")
+        sim_cfg = tmp_path / "sim60.json"
+        sim_cfg.write_text(json.dumps({"seed": 11, "scenario": {"n_sites": 60, "trend": True}}))
+        assert main(["simulate", "--config", str(sim_cfg), "--out", sim]) == 0
+        cases = {
+            "small": ({**CONFIG, "spatial": {"psi": True, "tau": True},
+                       "mcmc": {"n_chains": 2, "n_iterations": 60, "n_kept": 10}},
+                      pipeline["data"]),
+            "paper60": ({"seed": 11, "transform_descriptors": False, "trend": True,
+                         "covariates": ["c1", "c2"], "tau_covariates": ["c1"],
+                         "spatial": {"psi": True, "tau": True},
+                         "mcmc": {"n_chains": 2, "n_iterations": 100, "n_kept": 10}},
+                        ["--maxima", os.path.join(sim, "maxima.csv"),
+                         "--sites", os.path.join(sim, "sites.csv")]),
+        }
         code = "\n".join([
             "import os, sys",
             "if sys.argv[1] == 'pinned':",
@@ -206,16 +214,19 @@ class TestFit:
         src = os.path.dirname(os.path.dirname(spatgev.cli.__file__))
         blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         base = {k: v for k, v in os.environ.items() if k not in blas}
-        for how in ("pinned", "unpinned"):
-            env = {**base, "PYTHONPATH": src}
-            if how == "pinned":
-                env["OPENBLAS_NUM_THREADS"] = "1"
-            subprocess.run([sys.executable, "-c", code, how, "fit", "--config", str(cfg),
-                            *pipeline["data"], "--out", str(tmp_path / how)],
-                           env=env, check=True, capture_output=True, timeout=300)
-        for name in ("theta_draws.csv", "eta_draws.npy", "nu_draws.npy"):
-            assert _read(str(tmp_path / "pinned" / name)) == \
-                _read(str(tmp_path / "unpinned" / name)), name
+        for case, (config, data) in cases.items():
+            cfg = tmp_path / f"{case}.json"
+            cfg.write_text(json.dumps(config))
+            for how in ("pinned", "unpinned"):
+                env = {**base, "PYTHONPATH": src}
+                if how == "pinned":
+                    env["OPENBLAS_NUM_THREADS"] = "1"
+                subprocess.run([sys.executable, "-c", code, how, "fit", "--config", str(cfg),
+                                *data, "--out", str(tmp_path / case / how)],
+                               env=env, check=True, capture_output=True, timeout=300)
+            for name in ("theta_draws.csv", "eta_draws.npy", "nu_draws.npy"):
+                assert _read(str(tmp_path / case / "pinned" / name)) == \
+                    _read(str(tmp_path / case / "unpinned" / name)), (case, name)
 
     def test_mesh_file_is_the_fit_mesh(self, pipeline, spatial_fit):
         with open(os.path.join(spatial_fit["fit"], "mesh.json")) as fh:
@@ -542,6 +553,37 @@ class TestCv:
             out_table = fh.read()
         assert "MLE" not in out_table
 
+    def test_lgm_variants_take_priors_and_mesh(self, pipeline, tmp_path, monkeypatch):
+        # the priors and mesh sections reach cv's latent structures, as they
+        # reach fit's and select's
+        built = []
+
+        def keep(*args, _fn=spatgev.evaluate.build_structure, **kwargs):
+            built.append(_fn(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(spatgev.evaluate, "build_structure", keep)
+        priors = {"s0": 0.5, "rho0": 7.0, "eps0": 0.4, "sigma_beta": 3.0}
+        mesh_options = {"interior_divisor": 8.0, "buffer_fraction": 0.3}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            **CONFIG, "priors": priors, "mesh": mesh_options,
+            "mcmc": {"n_chains": 1, "n_iterations": 40, "n_kept": 10},
+            "cv": {**CONFIG["cv"], "variants": ["LGM-IID", "LGM-FULL"]}}))
+        assert main(["cv", "--config", str(cfg), *pipeline["data"],
+                     "--out", str(tmp_path / "o")]) == 0
+        assert [st.mesh is not None for st in built] == [False, True]
+        for st in built:
+            assert (st.s0, st.rho0, st.eps0, st.sigma_beta) == (0.5, 7.0, 0.4, 3.0)
+        ds, _ = spatgev.cli._load_inputs(
+            RunConfig.from_json(str(cfg)),
+            spatgev.cli._build_parser().parse_args(
+                ["cv", *pipeline["data"], "--out", "unused"]))
+        expected = spatgev.spde.build_mesh(ds.sites, spatgev.spde.MeshOptions(**mesh_options))
+        assert np.array_equal(built[1].mesh.points, expected.points)
+        assert np.array_equal(built[1].mesh.triangles, expected.triangles)
+        assert built[1].mesh.n_nodes != spatgev.spde.build_mesh(ds.sites).n_nodes
+
     def test_empty_variant_list(self, pipeline, tmp_path):
         bad = dict(CONFIG)
         bad["cv"] = {**CONFIG["cv"], "variants": []}
@@ -579,6 +621,22 @@ class TestAggregate:
         code = main(["aggregate", "--config", str(cfg), *pipeline["data"],
                      "--fit", pipeline["fit"], "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+def _config_surface():
+    """(section, section values, text the refusal names) for each key of each
+    config section: a value of the wrong JSON type, and one unknown key."""
+    cases = []
+    for section, cls in spatgev.cli._SECTIONS.items():
+        for name, hint in typing.get_type_hints(cls).items():
+            kinds = typing.get_args(hint) or (hint,)
+            wrong = 5 if str in kinds else "x"
+            cases.append(pytest.param(section, {name: wrong}, repr(f"{section}.{name}"),
+                                      id=f"{section}.{name}"))
+        cases.append(pytest.param(section, {"chains": 4},
+                                  f"unknown keys under {section!r}: ['chains']",
+                                  id=f"{section}.chains"))
+    return cases
 
 
 class TestErrorSurface:
@@ -659,6 +717,25 @@ class TestErrorSurface:
         assert err["error"] == "ConfigError"
         assert repr(key) in err["message"]
 
+    @pytest.mark.parametrize("section, values, named", _config_surface())
+    def test_config_surface_refused_before_work(self, pipeline, tmp_path, capsys,
+                                                monkeypatch, section, values, named):
+        # every key of every section declared in cli._SECTIONS, given a value
+        # of the wrong JSON type, and an unknown key in each section
+        def no_work(*args, **kwargs):
+            raise AssertionError("the max step ran on a bad configuration")
+
+        monkeypatch.setattr(spatgev.cli, "fit_all_sites", no_work)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: values}))
+        code = main(["fit", "--config", str(cfg), *pipeline["data"],
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert named in err["message"]
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize("command", ["fit", "select"])
     def test_non_finite_untransformed_descriptor_refused(self, pipeline, tmp_path,
                                                         capsys, command):
@@ -677,10 +754,6 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError"
         assert "c2" in err["message"]
-
-    def test_key_types_cover_the_config_schema(self):
-        for key, types in spatgev.cli._KEY_TYPES.items():
-            assert set(types) == _NESTED_KEYS[key]
 
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as exc:
@@ -748,6 +821,7 @@ def test_import_leaves_out_unused_scipy_modules(tmp_path):
         "seed": 1, "transform_descriptors": False,
         "scenario": {"n_sites": 8, "record_length": 30},
         "mcmc": {"n_chains": 1, "n_iterations": 40, "n_kept": 10},
+        "selection": {"n_folds": 4},
         "cv": {"min_start_year": 1990, "n_heldout": 2, "n_samples": 200}}))
     sim, cv = str(tmp_path / "sim"), str(tmp_path / "cv")
     code = "\n".join([

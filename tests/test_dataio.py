@@ -247,10 +247,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_json('{"seeed": 1}')
 
-    def test_unknown_nested_key(self):
-        with pytest.raises(ConfigError, match="mcmc"):
-            RunConfig.from_json('{"mcmc": {"chains": 4}}')
-
     @pytest.mark.parametrize("text, key", [
         ('{"seed": "x"}', "seed"), ('{"seed": true}', "seed"), ('{"seed": 1.5}', "seed"),
         ('{"trend": 1}', "trend"), ('{"t0": "1990"}', "t0"),

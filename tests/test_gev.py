@@ -23,9 +23,7 @@ from spatgev.gev import (
     link_forward,
     link_inverse,
     location_at,
-    logpdf,
     logpdf_derivatives,
-    reduced_variate,
     reduced_variate_derivs,
     shape_forward,
     shape_inverse,
@@ -236,7 +234,7 @@ class TestGevDistribution:
 
 
 class TestKernelDerivatives:
-    """reduced_variate_derivs and the w= and per-point xi forms of the kernel."""
+    """reduced_variate_derivs and the per-point xi form of the kernel."""
 
     @pytest.mark.parametrize("z, xi", [
         (-970.0, 0.0), (-3.0, 1e-4), (2.5, -0.3), (-1.5, 0.4), (40.0, 5e-8), (-2.0, -0.45),
@@ -253,15 +251,6 @@ class TestKernelDerivatives:
         ref_xi = mpmath.diff(lambda t: w(mpmath.mpf(z), t), mpmath.mpf(xi))
         assert_allclose(w_z[0], float(ref_z), rtol=1e-12)
         assert_allclose(w_xi[0], float(ref_xi), rtol=1e-9, atol=1e-300)
-
-    def test_given_variate_changes_no_bit(self):
-        rng = np.random.default_rng(4)
-        z = rng.normal(size=200)
-        xi = rng.uniform(-0.3, 0.3, size=200)
-        w = reduced_variate(z, xi)
-        assert np.array_equal(logpdf(z, 0.0, 1.0, xi, w=w), logpdf(z, 0.0, 1.0, xi))
-        for given, computed in zip(logpdf_derivatives(z, xi, w=w), logpdf_derivatives(z, xi)):
-            assert np.array_equal(given, computed)
 
     def test_one_shape_per_point_equals_each_alone(self):
         rng = np.random.default_rng(5)

@@ -25,6 +25,7 @@ from spatgev.latent import (
     LatentStructure,
     McmcConfig,
     ParamModel,
+    Priors,
     _collapsed_system,
     _ess,
     _split_rhat,
@@ -143,7 +144,7 @@ class TestStructure:
     def test_prior_decomposes(self):
         stacked, sites, rng = _stacked(5, 59)
         st = build_structure(stacked, designs={}, spatial={"psi": True}, sites=sites,
-                             s0=0.8, rho0=2.0, eps0=0.6)
+                             priors=Priors(s0=0.8, rho0=2.0, eps0=0.6))
         from spatgev.spde import nugget_prior_logdensity, pc_prior_logdensity
 
         theta = np.array([0.2, 0.4, 3.0, 0.1, 0.15])
