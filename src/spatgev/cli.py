@@ -8,12 +8,20 @@ artifact.  Reruns with the same inputs are byte-identical except the manifest
 timestamp.  Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.
 
-The config sections are scenario, spatial, mesh, priors, mcmc, selection,
-cv, predict, aggregate and files.  Each is declared once, by the fields of
-its class in _SECTIONS, and every command builds all of them before any
-work: an unknown key or a wrong JSON type exits 2 naming it.  select, fit
-and cv share priors and mesh: their latent structures take the one priors
-section, and their fields live on a mesh built with the one mesh section.
+The run configuration is one tree, declared once: the fields of RunConfig
+are the top-level keys (seed, trend, t0, covariates, tau_covariates,
+transform_descriptors, return_periods) and the sections scenario, spatial,
+mesh, priors, mcmc, selection, cv, predict, aggregate and files, each a
+dataclass whose fields are its keys and defaults.  main builds the whole
+tree once per command, before any work, with RunConfig.from_json: an
+unknown key at any level, or a value, list element or number that is not of
+its declared type, exits 2 naming the key's dotted path.  The loader is the
+one place that applies the two run-level defaults: a section's seed takes the
+run's seed, and aggregate.periods takes return_periods, unless given.  Then
+every section's validate runs, and a value out of range exits 2 as well.
+Commands read attributes of the tree.  select, fit and cv share priors and mesh: their
+latent structures take the one priors section, and their fields live on a
+mesh built with the one mesh section.
 
 A fit directory is the whole fit.  Besides the draws (theta_draws.csv, and
 the latent eta_draws.npy and nu_draws.npy: float64 arrays of one row per
@@ -46,7 +54,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -56,10 +64,7 @@ from .copula import aggregate_return_levels, grow_samples, historical_block
 from .dataio import (
     DescriptorTransform,
     MaximaDataset,
-    RunConfig,
     check_finite,
-    check_type,
-    config_hash,
     group_maxima,
     read_descriptors_csv,
     read_maxima_csv,
@@ -70,7 +75,7 @@ from .dataio import (
     write_npy_atomic,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .evaluate import DEFAULT_VARIANTS, make_cv_plan, run_cv
+from .evaluate import CvConfig, make_cv_plan, run_cv
 from .latent import (
     McmcConfig,
     Priors,
@@ -124,35 +129,25 @@ class SpatialConfig:  # the link parameters that get a field
 
 
 @dataclass
-class CvConfig:
-    split_year: float = 2000.0  # last training year
-    complete_through: float = 2013.0  # last test year
-    min_start_year: float = 1980.0  # eligible stations start before it
-    n_heldout: int = 6  # stations held out for out-of-site scoring
-    seed: int = 0  # held-out draw; defaults to the run's seed
-    n_eff_time: float | None = None  # None: the number of test years
-    n_eff_space: float = 50.0
-    variants: list = field(default_factory=lambda: list(DEFAULT_VARIANTS))
-    n_samples: int = 32_000  # predictive samples per stationary LGM site
-    n_samples_trend: int = 3_200  # the same per site and year under a trend
-
-
-@dataclass
 class PredictConfig:  # aggregate reads year too
     year: float | None = None  # None: the levels at the trend's t0
-    stations: list | None = None  # None: every station
+    stations: list[str] | None = None  # None: every station
     include_nugget: bool = True  # ungauged draws add the nugget
 
 
 @dataclass
 class AggregateConfig:
-    stations: list | None = None  # None: every station
+    stations: list[str] | None = None  # None: every station
     weights: tuple | None = None  # one per station; None: all 1
     year_range: tuple | None = None  # first and last year; None: all years
-    periods: tuple = RETURN_PERIODS  # defaults to the run's return_periods
+    periods: tuple = RETURN_PERIODS  # the loader sets return_periods unless given
     n_blocks: int = 200
     pool_size: int = 20_000  # predictive samples per station
     n_bootstrap: int = 500
+
+    def validate(self) -> None:
+        if self.n_bootstrap < 1:
+            raise ValueError("n_bootstrap must be at least 1")
 
 
 @dataclass
@@ -162,46 +157,129 @@ class FilesConfig:  # the command line options of the same names override these
     targets: str | None = None
 
 
-# every nested config section, with the class it builds
-_SECTIONS = {"scenario": Scenario, "spatial": SpatialConfig, "mesh": MeshOptions,
-             "priors": Priors, "mcmc": McmcConfig, "selection": SelectionConfig,
-             "cv": CvConfig, "predict": PredictConfig, "aggregate": AggregateConfig,
-             "files": FilesConfig}
+@dataclass
+class RunConfig:
+    """The run configuration: the top-level settings, then one section each.
 
-
-def _load_config(args) -> RunConfig:
-    """The run configuration, its sections built and type-checked before any work."""
-    cfg = RunConfig.from_json(getattr(args, "config", None) or "{}")
-    for key in _SECTIONS:
-        _section(cfg, key)
-    return cfg
-
-
-def _section(cfg: RunConfig, key: str):
-    """Config section key as its class, each value checked against the field type.
-
-    An unknown key is refused.  A seed field defaults to the run's seed, and
-    a periods field to return_periods.  The object is validated when its
-    class has a validate method; a ValueError there is a ConfigError.
+    from_json is the one loader; raw keeps the JSON object as given, which
+    config_hash hashes and model.json records.
     """
-    cls = _SECTIONS[key]
-    hints = typing.get_type_hints(cls)
-    unknown = set(cfg.get(key, {})) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown keys under {key!r}: {sorted(unknown)}")
-    run_level = {"seed": cfg.seed, "periods": list(cfg.get("return_periods", RETURN_PERIODS))}
-    values = {**{k: v for k, v in run_level.items() if k in hints}, **cfg.get(key, {})}
-    for name, value in values.items():
-        check_type(f"{key}.{name}", value, typing.get_args(hints[name]) or (hints[name],))
-        if hints[name] is tuple:
-            values[name] = tuple(value)
-    obj = cls(**values)
-    if hasattr(obj, "validate"):
+
+    seed: int = 0
+    trend: bool = False
+    t0: float = None  # absent: the link's anchor year; null is refused
+    covariates: list[str] = field(default_factory=list)  # psi's design
+    tau_covariates: list[str] = field(default_factory=list)
+    transform_descriptors: bool = True  # false when columns are ready-made designs
+    return_periods: tuple = RETURN_PERIODS
+    scenario: Scenario = field(default_factory=Scenario)
+    spatial: SpatialConfig = field(default_factory=SpatialConfig)
+    mesh: MeshOptions = field(default_factory=MeshOptions)
+    priors: Priors = field(default_factory=Priors)
+    mcmc: McmcConfig = field(default_factory=McmcConfig)
+    selection: SelectionConfig = field(default_factory=SelectionConfig)
+    cv: CvConfig = field(default_factory=CvConfig)
+    predict: PredictConfig = field(default_factory=PredictConfig)
+    aggregate: AggregateConfig = field(default_factory=AggregateConfig)
+    files: FilesConfig = field(default_factory=FilesConfig)
+    raw: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def from_json(cls, path_or_str: str) -> "RunConfig":
+        """The configuration in a JSON file, or in a JSON string.
+
+        Every key and value is checked, and every section built, before
+        the run-level defaults: a section's seed takes the run's seed, and
+        its periods (aggregate's) take return_periods, unless given.  Then
+        each section's validate runs; a ValueError there is a ConfigError.
+        """
+        if os.path.exists(path_or_str):
+            with open(path_or_str) as fh:
+                path_or_str = fh.read()
         try:
-            obj.validate()
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return obj
+            data = json.loads(path_or_str)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config root must be a JSON object")
+        cfg = _build(cls, data, "")
+        cfg.raw = data
+        run_level = {"seed": cfg.seed, "periods": cfg.return_periods}
+        for name, section in list(vars(cfg).items()):
+            if not is_dataclass(section):
+                continue
+            section = replace(section, **{k: v for k, v in run_level.items()
+                                          if hasattr(section, k) and k not in data.get(name, {})})
+            try:
+                getattr(section, "validate", lambda: None)()
+            except ValueError as exc:
+                raise ConfigError(f"config key {name!r}: {exc}") from exc
+            setattr(cfg, name, section)
+        return cfg
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _matches(value, hint) -> bool:
+    """Whether the JSON value has the declared type: a bool is not a number,
+    an int is also a float, and a list of numbers stands for a tuple."""
+    if hint is float:
+        return _is_number(value)
+    if hint is int:
+        return _is_number(value) and isinstance(value, int)
+    if hint is tuple:
+        return isinstance(value, list) and all(map(_is_number, value))
+    if typing.get_origin(hint) is list:
+        (element,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_matches(v, element) for v in value)
+    if typing.get_args(hint):  # a union
+        return any(_matches(value, kind) for kind in typing.get_args(hint))
+    return isinstance(value, hint)
+
+
+def _describe(hint) -> str:
+    if typing.get_origin(hint) is list:
+        return f"a list of {_describe(typing.get_args(hint)[0])}"
+    if typing.get_args(hint):
+        return " or ".join(map(_describe, typing.get_args(hint)))
+    return {type(None): "null", tuple: "a list of numbers"}.get(hint, hint.__name__)
+
+
+def _build(cls, values, path: str):
+    """cls built from the JSON object values found at the dotted path.
+
+    An unknown key, or a value not of its field's declared type, is a
+    ConfigError naming its dotted path.  A field declared as a dataclass is
+    built from its own object, and a list of numbers becomes a tuple.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"config key {path!r} must be an object, got {values!r}")
+    hints = typing.get_type_hints(cls)
+    declared = {f.name for f in fields(cls) if f.init}
+    keys = {name: f"{path}.{name}" if path else name for name in values}
+    unknown = sorted(key for name, key in keys.items() if name not in declared)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    built = {}
+    for name, value in values.items():
+        hint = hints[name]
+        if is_dataclass(hint):
+            built[name] = _build(hint, value, keys[name])
+            continue
+        if not _matches(value, hint):
+            raise ConfigError(f"config key {keys[name]!r} must be {_describe(hint)}, "
+                              f"got {value!r}")
+        as_tuple = isinstance(value, list) and (hint is tuple or tuple in typing.get_args(hint))
+        built[name] = tuple(value) if as_tuple else value
+    return cls(**built)
+
+
+def config_hash(cfg: RunConfig) -> str:
+    """Stable hash of the JSON configuration as given, for run manifests."""
+    blob = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _write_manifest(out_dir: str, command: str, cfg: RunConfig, outputs: list) -> None:
@@ -222,7 +300,7 @@ def _out_path(args, name: str) -> str:
 
 
 def _file_from(cfg: RunConfig, args, key: str) -> str | None:
-    return getattr(args, key, None) or getattr(_section(cfg, "files"), key)
+    return getattr(args, key, None) or getattr(cfg.files, key)
 
 
 def _station_table(path: str):
@@ -262,7 +340,7 @@ def _load_inputs(cfg: RunConfig, args):
     if desc_cols:
         row_of = {st: k for k, st in enumerate(ids)}
         vals = values[[row_of[st] for st in ds.station_ids]][:, desc_cols]
-        if cfg.get("transform_descriptors", True):
+        if cfg.transform_descriptors:
             validate_descriptors(dnames, vals)
             transform = DescriptorTransform.fit(dnames, vals)
             ds.covariates = transform.apply(dnames, vals)
@@ -274,10 +352,8 @@ def _load_inputs(cfg: RunConfig, args):
 
 
 def _max_step(cfg: RunConfig, ds: MaximaDataset) -> StackedFits:
-    t0 = cfg.get("t0")
-    return fit_all_sites(ds.records, trend=bool(cfg.get("trend", False)),
-                         station_ids=ds.station_ids,
-                         **({"t0": t0} if t0 is not None else {}))
+    return fit_all_sites(ds.records, trend=cfg.trend, station_ids=ds.station_ids,
+                         **({"t0": cfg.t0} if cfg.t0 is not None else {}))
 
 
 # ----------------------------------------------------------------------------
@@ -285,9 +361,8 @@ def _max_step(cfg: RunConfig, ds: MaximaDataset) -> StackedFits:
 # ----------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    sim = simulate_dataset(_section(cfg, "scenario"), seed=cfg.seed)
+def cmd_simulate(args, cfg: RunConfig) -> int:
+    sim = simulate_dataset(cfg.scenario, seed=cfg.seed)
     ds, truth = sim.dataset, sim.truth
 
     maxima_path = _out_path(args, "maxima.csv")
@@ -319,10 +394,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_fit_sites(args) -> int:
-    cfg = _load_config(args)
+def cmd_fit_sites(args, cfg: RunConfig) -> int:
     ds, _ = _load_inputs(cfg, args)
-    trend = bool(cfg.get("trend", False))
+    trend = cfg.trend
     stacked = _max_step(cfg, ds)
     params = list(PARAM_NAMES[: stacked.n_params])
     eta = stacked.eta_by_param  # (q, J)
@@ -348,18 +422,17 @@ def cmd_fit_sites(args) -> int:
     return 0
 
 
-def cmd_select(args) -> int:
-    cfg = _load_config(args)
+def cmd_select(args, cfg: RunConfig) -> int:
     ds, _ = _load_inputs(cfg, args)
     if ds.covariates is None or not ds.covariate_names:
         raise ConfigError("selection needs a station table with covariates")
     _progress(f"fitting {ds.n_sites} sites")
     stacked = _max_step(cfg, ds)
-    mesh = build_mesh(ds.sites, _section(cfg, "mesh"))
+    mesh = build_mesh(ds.sites, cfg.mesh)
     covariates = {nm: ds.covariates[:, j] for j, nm in enumerate(ds.covariate_names)}
     _progress("forward selection per parameter")
     results = select_all(stacked, covariates, mesh=mesh, sites=ds.sites,
-                         config=_section(cfg, "selection"), priors=_section(cfg, "priors"))
+                         config=cfg.selection, priors=cfg.priors)
 
     table_rows = []
     summary = {}
@@ -385,12 +458,11 @@ def cmd_select(args) -> int:
 
 def _structure_from(cfg: RunConfig, ds: MaximaDataset, stacked: StackedFits,
                     mesh: Mesh | None):
-    names = {"psi": tuple(cfg.get("covariates", [])),
-             "tau": tuple(cfg.get("tau_covariates", []))}
+    names = {"psi": tuple(cfg.covariates), "tau": tuple(cfg.tau_covariates)}
     return build_structure(
         stacked, {p: ds.design_matrix(n) for p, n in names.items() if n},
-        vars(_section(cfg, "spatial")), sites=ds.sites, mesh=mesh,
-        priors=_section(cfg, "priors"), covariate_names=names,
+        vars(cfg.spatial), sites=ds.sites, mesh=mesh, priors=cfg.priors,
+        covariate_names=names,
     )
 
 
@@ -438,15 +510,13 @@ def _read_max_step(fit_dir: str, model: dict) -> StackedFits:
     return stack_fits(fits)
 
 
-def cmd_fit(args) -> int:
-    cfg = _load_config(args)
+def cmd_fit(args, cfg: RunConfig) -> int:
     ds, transform = _load_inputs(cfg, args)
     _progress(f"max step: fitting {ds.n_sites} sites")
     stacked = _max_step(cfg, ds)
-    mesh = (build_mesh(ds.sites, _section(cfg, "mesh"))
-            if any(vars(_section(cfg, "spatial")).values()) else None)
+    mesh = build_mesh(ds.sites, cfg.mesh) if any(vars(cfg.spatial).values()) else None
     structure = _structure_from(cfg, ds, stacked, mesh)
-    mcmc = _section(cfg, "mcmc")
+    mcmc = cfg.mcmc
     _progress(f"smooth step: {mcmc.n_chains} chains x {mcmc.n_iterations} iterations")
     result = smooth_step(structure, mcmc, latent_seed=mcmc.seed + 1)
     theta = result.theta
@@ -496,13 +566,13 @@ def cmd_fit(args) -> int:
 
     path = _out_path(args, "model.json")
     write_json_atomic(path, {
-        "covariates": list(cfg.get("covariates", [])),
-        "tau_covariates": list(cfg.get("tau_covariates", [])),
-        "spatial": cfg.get("spatial", {}),
-        "trend": bool(cfg.get("trend", False)),
-        "t0": cfg.get("t0"),
-        "priors": cfg.get("priors", {}),
-        "mesh": cfg.get("mesh", {}),
+        "covariates": cfg.covariates,
+        "tau_covariates": cfg.tau_covariates,
+        "spatial": cfg.raw.get("spatial", {}),  # the sections as given
+        "trend": cfg.trend,
+        "t0": cfg.t0,
+        "priors": cfg.raw.get("priors", {}),
+        "mesh": cfg.raw.get("mesh", {}),
         "n_chains": mcmc.n_chains,
         "theta_names": theta.names,
         "station_ids": list(ds.station_ids),
@@ -510,7 +580,7 @@ def cmd_fit(args) -> int:
         "warnings": list(theta.warnings),
         "accept_rate": [float(a) for a in theta.accept_rate],
         "transform": None if transform is None else transform.to_dict(),
-        "transform_descriptors": bool(cfg.get("transform_descriptors", True)),
+        "transform_descriptors": cfg.transform_descriptors,
     })
     outputs.append(("model.json", path))
 
@@ -603,11 +673,12 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
             raise ConfigError(f"config {key!r}={cfg.raw[key]!r} disagrees with "
                               f"the fitted model ({model[key]!r})")
 
-    sub = RunConfig(raw={**cfg.raw, **{k: model[k] for k in
-                                       ("covariates", "tau_covariates", "spatial",
-                                        "trend", "t0", "priors", "mesh")
-                                       if model.get(k) is not None}})
-    structure = _structure_from(sub, ds, _read_max_step(fit_dir, model),
+    # the structure is the fitted model's, whatever the config gives for its priors
+    fitted = replace(cfg, covariates=model["covariates"],
+                     tau_covariates=model["tau_covariates"],
+                     spatial=_build(SpatialConfig, model["spatial"], "spatial"),
+                     priors=_build(Priors, model["priors"], "priors"))
+    structure = _structure_from(fitted, ds, _read_max_step(fit_dir, model),
                                 _read_mesh(fit_dir, model, ds))
 
     names, theta_draws = _read_draws_csv(os.path.join(fit_dir, "theta_draws.csv"))
@@ -635,10 +706,9 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
 
 
 def _periods_from(cfg: RunConfig) -> list:
-    periods = cfg.get("return_periods", RETURN_PERIODS)
-    if not periods:
+    if not cfg.return_periods:
         raise ConfigError("return_periods must not be empty")
-    return [float(p) for p in periods]
+    return [float(p) for p in cfg.return_periods]
 
 
 def _write_levels(args, command: str, cfg: RunConfig, name: str, curves: list, year) -> int:
@@ -652,10 +722,9 @@ def _write_levels(args, command: str, cfg: RunConfig, name: str, curves: list, y
     return 0
 
 
-def cmd_predict(args) -> int:
-    cfg = _load_config(args)
+def cmd_predict(args, cfg: RunConfig) -> int:
     result, ds, model = _load_fit(args.fit, cfg, args)
-    opts = _section(cfg, "predict")
+    opts = cfg.predict
     stations = opts.stations or list(ds.station_ids)
     periods = _periods_from(cfg)
     index = {st: i for i, st in enumerate(ds.station_ids)}
@@ -669,8 +738,7 @@ def cmd_predict(args) -> int:
     return _write_levels(args, "predict", cfg, "return_levels.csv", curves, opts.year)
 
 
-def cmd_return_levels(args) -> int:
-    cfg = _load_config(args)
+def cmd_return_levels(args, cfg: RunConfig) -> int:
     result, ds, model = _load_fit(args.fit, cfg, args)
     targets_path = _file_from(cfg, args, "targets")
     if targets_path is None:
@@ -694,7 +762,7 @@ def cmd_return_levels(args) -> int:
             row.append(covs[k, col_of[nm]])
         return np.asarray(row)
 
-    opts = _section(cfg, "predict")
+    opts = cfg.predict
     periods = _periods_from(cfg)
     rng = np.random.default_rng(cfg.seed)
 
@@ -715,32 +783,16 @@ def cmd_return_levels(args) -> int:
     return _write_levels(args, "return-levels", cfg, "ungauged_levels.csv", curves, opts.year)
 
 
-def cmd_cv(args) -> int:
-    cfg = _load_config(args)
+def cmd_cv(args, cfg: RunConfig) -> int:
     ds, _ = _load_inputs(cfg, args)
-    opts = _section(cfg, "cv")
-    if not opts.variants:
+    if not cfg.cv.variants:
         raise ConfigError("cv variant list is empty")
-    variants = tuple(opts.variants)
-    plan = make_cv_plan(
-        ds, train_end_year=opts.split_year, test_end_year=opts.complete_through,
-        n_heldout=opts.n_heldout, min_start_year=opts.min_start_year, seed=opts.seed,
-        n_eff_time=opts.n_eff_time, n_eff_space=opts.n_eff_space,
-    )
-    _progress(f"cross-validation: {len(variants)} variants, "
+    plan = make_cv_plan(ds, cfg.cv)
+    _progress(f"cross-validation: {len(cfg.cv.variants)} variants, "
               f"{plan.train_sites.size} training and "
               f"{plan.heldout_sites.size} held-out stations")
-    res = run_cv(
-        ds, plan, variants=variants,
-        covariate_names=cfg.get("covariates") or None,
-        mcmc=_section(cfg, "mcmc"),
-        n_samples=opts.n_samples,
-        n_samples_trend=opts.n_samples_trend,
-        seed=cfg.seed,
-        t0=cfg.get("t0"),
-        priors=_section(cfg, "priors"),
-        mesh_options=_section(cfg, "mesh"),
-    )
+    res = run_cv(ds, plan, cfg.cv, covariate_names=cfg.covariates or None, mcmc=cfg.mcmc,
+                 seed=cfg.seed, t0=cfg.t0, priors=cfg.priors, mesh_options=cfg.mesh)
 
     outputs = []
     for name, table in (("cv_within.csv", res.within),
@@ -772,10 +824,9 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def cmd_aggregate(args) -> int:
-    cfg = _load_config(args)
+def cmd_aggregate(args, cfg: RunConfig) -> int:
     result, ds, model = _load_fit(args.fit, cfg, args)
-    opts = _section(cfg, "aggregate")
+    opts = cfg.aggregate
     index = {st: i for i, st in enumerate(ds.station_ids)}
     stations = opts.stations or list(ds.station_ids)
     missing = [st for st in stations if st not in index]
@@ -793,7 +844,7 @@ def cmd_aggregate(args) -> int:
         w_of = dict(zip(station_indices, opts.weights))
         weights = np.array([float(w_of[i]) for i in block.station_indices])
 
-    year = _section(cfg, "predict").year
+    year = cfg.predict.year
     if not opts.periods:
         raise ConfigError("aggregate.periods must not be empty")
 
@@ -881,7 +932,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, RunConfig.from_json(args.config or "{}"))
     except (ConfigError, DataError, NumericalError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)

@@ -1,4 +1,4 @@
-"""Data containers, CSV readers, descriptor transforms, and run configuration.
+"""Data containers, CSV readers, descriptor transforms and atomic writers.
 
 The on-disk format for block maxima is a long-form delimited file with
 columns station, year, amax; catchment descriptors live in a second file
@@ -11,7 +11,6 @@ new stations.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -29,11 +28,8 @@ __all__ = [
     "check_finite",
     "validate_descriptors",
     "DescriptorTransform",
-    "RunConfig",
-    "check_type",
     "write_json_atomic",
     "write_csv_atomic",
-    "config_hash",
 ]
 
 
@@ -333,83 +329,6 @@ class DescriptorTransform:
     def from_dict(cls, d: dict) -> "DescriptorTransform":
         return cls(names=list(d["names"]), kinds=list(d["kinds"]),
                    means=np.asarray(d["means"]), sds=np.asarray(d["sds"]))
-
-
-# ----------------------------------------------------------------------------
-# Run configuration
-# ----------------------------------------------------------------------------
-
-# top-level keys and their JSON types
-_CONFIG_FIELDS = {
-    "seed": int,
-    "trend": bool,
-    "t0": float,
-    "covariates": list,  # names used for psi (and tau) designs
-    "tau_covariates": list,
-    "transform_descriptors": bool,  # false when columns are ready-made designs
-    "return_periods": tuple,
-    # the sections; the fields of each one's class in cli._SECTIONS are its keys
-    **dict.fromkeys(("scenario", "spatial", "mesh", "priors", "mcmc", "selection", "cv",
-                     "predict", "aggregate", "files"), dict),
-}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def check_type(key: str, value, kinds: tuple) -> None:
-    """Raise ConfigError naming key unless value is of one of the types in kinds.
-
-    The value comes from JSON: a bool is not a number, an int is also a
-    float, and a list of numbers stands for a tuple.
-    """
-    as_json = {float: _is_number(value), int: _is_number(value) and isinstance(value, int),
-               tuple: isinstance(value, list) and all(map(_is_number, value))}
-    if not any(as_json.get(kind, isinstance(value, kind)) for kind in kinds):
-        wanted = " or ".join({type(None): "null", tuple: "a list of numbers"}
-                             .get(kind, kind.__name__) for kind in kinds)
-        raise ConfigError(f"config key {key!r} must be {wanted}, got {value!r}")
-
-
-@dataclass
-class RunConfig:
-    """Run configuration; unknown top-level keys and wrong types are rejected."""
-
-    raw: dict
-
-    @classmethod
-    def from_json(cls, path_or_str: str) -> "RunConfig":
-        if os.path.exists(path_or_str):
-            with open(path_or_str) as fh:
-                text = fh.read()
-        else:
-            text = path_or_str
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        unknown = set(data) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            check_type(key, value, (_CONFIG_FIELDS[key],))
-        return cls(raw=data)
-
-    def get(self, key: str, default=None):
-        return self.raw.get(key, default)
-
-    @property
-    def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
-
-
-def config_hash(config: RunConfig) -> str:
-    """Stable hash of the configuration for run manifests."""
-    blob = json.dumps(config.raw, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def write_json_atomic(path: str, obj, compact: bool = False) -> None:

@@ -42,6 +42,7 @@ __all__ = [
     "fit_mle",
     "RsmFit",
     "fit_rsm",
+    "CvConfig",
     "CvPlan",
     "make_cv_plan",
     "ModelSpec",
@@ -101,7 +102,7 @@ def kde_density(samples: np.ndarray, y) -> np.ndarray | float:
     return dens if y.ndim else float(dens[0])
 
 
-def se_of_mean_diff(diffs, n_eff_time: float = 13.0, n_eff_space: float = 50.0) -> float:
+def se_of_mean_diff(diffs, n_eff_time: float, n_eff_space: float) -> float:
     """Standard error of a mean score difference under an effective sample size."""
     diffs = np.asarray(diffs, dtype=float)
     if diffs.size == 0:
@@ -243,13 +244,37 @@ def fit_rsm(records: list, coords: np.ndarray, covariates: np.ndarray,
 
 
 @dataclass
+class CvConfig:
+    """The cv section of a run configuration."""
+
+    split_year: float = 2000.0  # last training year
+    complete_through: float = 2013.0  # last test year
+    min_start_year: float = 1980.0  # eligible stations start before it
+    n_heldout: int = 6  # stations held out for out-of-site scoring
+    seed: int = 0  # held-out draw; the CLI defaults it to the run's seed
+    n_eff_time: float | None = None  # None: the number of test years
+    n_eff_space: float = 50.0
+    variants: list[str] = field(default_factory=lambda: list(DEFAULT_VARIANTS))
+    n_samples: int = 32_000  # predictive samples per stationary LGM site
+    n_samples_trend: int = 3_200  # the same per site and year under a trend
+
+    def validate(self) -> None:
+        if self.n_heldout < 0:
+            raise ValueError("n_heldout must not be negative")
+        if self.n_eff_time is not None and self.n_eff_time <= 0:
+            raise ValueError("n_eff_time must be positive")
+        if self.n_eff_space <= 0:
+            raise ValueError("n_eff_space must be positive")
+
+
+@dataclass
 class CvPlan:
     train_sites: np.ndarray  # indices into the dataset
     heldout_sites: np.ndarray
     train_end_year: float
     test_years: np.ndarray
-    n_eff_time: float = 13.0
-    n_eff_space: float = 50.0
+    n_eff_time: float
+    n_eff_space: float
 
     def validate(self) -> None:
         if np.intersect1d(self.train_sites, self.heldout_sites).size:
@@ -264,42 +289,39 @@ def _station_years(record) -> np.ndarray:
     return np.asarray(record[0], dtype=float)
 
 
-def make_cv_plan(dataset: MaximaDataset, train_end_year: float = 2000.0,
-                 test_end_year: float = 2013.0, n_heldout: int = 6,
-                 min_start_year: float = 1980.0, seed: int = 0,
-                 n_eff_time: float | None = None,
-                 n_eff_space: float = 50.0) -> CvPlan:
+def make_cv_plan(dataset: MaximaDataset, cv: CvConfig) -> CvPlan:
     """Temporal split plus held-out stations among the eligible ones.
 
-    Eligible stations have data before min_start_year and a complete test
-    record through test_end_year; held-out stations are drawn from the
-    eligible set with a seeded generator.
+    Training runs through cv.split_year and testing through
+    cv.complete_through.  Eligible stations have data before
+    cv.min_start_year and a complete test record; cv.n_heldout of them are
+    held out, drawn with a generator seeded by cv.seed.
     """
-    test_years = np.arange(train_end_year + 1.0, test_end_year + 1.0)
+    test_years = np.arange(cv.split_year + 1.0, cv.complete_through + 1.0)
     eligible = []
     for i, rec in enumerate(dataset.records):
         years = _station_years(rec)
-        if years.size == 0 or years.min() >= min_start_year:
+        if years.size == 0 or years.min() >= cv.min_start_year:
             continue
         if not np.all(np.isin(test_years, years)):
             continue
         eligible.append(i)
     eligible = np.asarray(eligible, dtype=int)
-    if eligible.size <= n_heldout:
+    if eligible.size <= cv.n_heldout:
         raise ConfigError(
             f"only {eligible.size} stations pass the filter; cannot hold out "
-            f"{n_heldout}"
+            f"{cv.n_heldout}"
         )
-    rng = np.random.default_rng(seed)
-    heldout = np.sort(rng.choice(eligible, size=n_heldout, replace=False))
+    rng = np.random.default_rng(cv.seed)
+    heldout = np.sort(rng.choice(eligible, size=cv.n_heldout, replace=False))
     train = np.setdiff1d(eligible, heldout)
     plan = CvPlan(
         train_sites=train,
         heldout_sites=heldout,
-        train_end_year=float(train_end_year),
+        train_end_year=float(cv.split_year),
         test_years=test_years,
-        n_eff_time=float(n_eff_time) if n_eff_time is not None else float(test_years.size),
-        n_eff_space=float(n_eff_space),
+        n_eff_time=float(test_years.size if cv.n_eff_time is None else cv.n_eff_time),
+        n_eff_space=float(cv.n_eff_space),
     )
     plan.validate()
     return plan
@@ -438,14 +460,13 @@ def _ungauged_for(dataset: MaximaDataset, spec: ModelSpec, site: int,
     return UngaugedSite(coords=dataset.sites[site], design_rows=rows)
 
 
-def run_cv(dataset: MaximaDataset, plan: CvPlan,
-           variants: tuple = DEFAULT_VARIANTS,
+def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
            covariate_names: list | None = None,
            mcmc: McmcConfig | None = None,
-           n_samples: int = 32_000, n_samples_trend: int = 3_200,
            seed: int = 0, t0: float | None = None, mesh=None,
            priors: Priors | None = None, mesh_options=None) -> CvResult:
-    """Fit every variant on the training window and score test cells.
+    """Fit every variant of cv.variants on the training window and score
+    test cells.
 
     Within-site cells are test-year observations at training stations;
     out-of-site cells are test-year observations at held-out stations (the
@@ -458,6 +479,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
     """
     plan.validate()
     mcmc = mcmc or McmcConfig()
+    variants = cv.variants
     unknown = [v for v in variants if v not in BENCHMARKS and v not in LGM_VARIANTS]
     if unknown:
         raise ConfigError(f"unknown model variants: {unknown}")
@@ -520,7 +542,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan,
                 spec = LGM_VARIANTS[name]
                 result = _fit_lgm(dataset, spec, plan, covariate_names, mcmc,
                                   mesh, site_fits(spec.trend), priors)
-                total = n_samples_trend if spec.trend else n_samples
+                total = cv.n_samples_trend if spec.trend else cv.n_samples
                 n_per = max(1, round(total / result.n_draws))
 
                 def predictive_bits(cells, gauged: bool):

@@ -474,6 +474,8 @@ class McmcConfig:
     def validate(self) -> None:
         if self.n_chains < 1 or self.n_iterations < 20:
             raise ConfigError("MCMC needs at least one chain and 20 iterations")
+        if self.n_kept < 1:
+            raise ConfigError("n_kept must be at least 1")
         if self.n_kept > self.n_iterations - self.n_burn:
             raise ConfigError("n_kept exceeds post-burn-in draws")
 

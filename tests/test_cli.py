@@ -5,6 +5,7 @@ asserted directly.  A shared pipeline fixture keeps the expensive steps
 (simulate + fit) to one run.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,12 +16,13 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import spatgev.cli
 import spatgev.evaluate
 import spatgev.spde
-from spatgev.cli import main
-from spatgev.dataio import RunConfig
+from spatgev.cli import RunConfig, main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -623,18 +625,46 @@ class TestAggregate:
         assert code == 2
 
 
+def _declared_keys(cls=RunConfig, path=""):
+    """(dotted path, declared type) of every key of the run configuration,
+    walked from the fields of RunConfig and of each section's dataclass."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        key = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _declared_keys(hints[f.name], key)
+        else:
+            yield key, hints[f.name]
+
+
+SECTIONS = [f.name for f in dataclasses.fields(RunConfig)
+            if dataclasses.is_dataclass(typing.get_type_hints(RunConfig)[f.name])]
+
+
+def _nested(key: str, value) -> dict:
+    """The config object that sets the dotted key to value."""
+    for name in reversed(key.split(".")):
+        value = {name: value}
+    return value
+
+
 def _config_surface():
-    """(section, section values, text the refusal names) for each key of each
-    config section: a value of the wrong JSON type, and one unknown key."""
+    """(config, text the refusal names) for each declared key: a value of the
+    wrong JSON type, an element of the wrong type for each list, and one
+    unknown key per section."""
     cases = []
-    for section, cls in spatgev.cli._SECTIONS.items():
-        for name, hint in typing.get_type_hints(cls).items():
-            kinds = typing.get_args(hint) or (hint,)
-            wrong = 5 if str in kinds else "x"
-            cases.append(pytest.param(section, {name: wrong}, repr(f"{section}.{name}"),
-                                      id=f"{section}.{name}"))
-        cases.append(pytest.param(section, {"chains": 4},
-                                  f"unknown keys under {section!r}: ['chains']",
+    for key, hint in _declared_keys():
+        kinds = [hint] if typing.get_origin(hint) is list else list(typing.get_args(hint)) or [hint]
+        wrong = 5 if str in kinds else "x"
+        cases.append(pytest.param(_nested(key, wrong), repr(key), id=key))
+        if tuple in kinds:
+            cases.append(pytest.param(_nested(key, [1.0, "x"]), repr(key), id=f"{key}.element"))
+        if any(typing.get_origin(kind) is list for kind in kinds):
+            cases.append(pytest.param(_nested(key, ["a", [1]]), repr(key), id=f"{key}.element"))
+    for section in SECTIONS:
+        cases.append(pytest.param({section: {"chains": 4}}, repr(f"{section}.chains"),
                                   id=f"{section}.chains"))
     return cases
 
@@ -689,17 +719,10 @@ class TestErrorSurface:
         assert err["error"] == "DataError"
         assert "Z999" in err["message"]
 
-    @pytest.mark.parametrize("command, config, key", [
-        ("simulate", {"seed": "x"}, "seed"),
-        ("fit", {"mcmc": {"n_chains": "2"}}, "mcmc.n_chains"),
-        ("fit", {"mesh": {"interior_divisor": -1}, "spatial": {"psi": True}}, "mesh"),
-        ("fit", {"priors": {"s0": "x"}, "spatial": {"psi": True}}, "priors.s0"),
-        ("cv", {"cv": {"n_samples": "x"}}, "cv.n_samples"),
-        ("aggregate", {"aggregate": {"n_blocks": "x"}}, "aggregate.n_blocks"),
-        ("predict", {"predict": {"include_nugget": "no"}}, "predict.include_nugget"),
-    ])
-    def test_wrong_config_type_refused_before_work(self, pipeline, tmp_path, capsys,
-                                                   monkeypatch, command, config, key):
+    @staticmethod
+    def _refusal(pipeline, tmp_path, capsys, monkeypatch, command, config) -> str:
+        """The message of command's ConfigError on config, which must come
+        before any work and leave no output directory."""
         def no_work(*args, **kwargs):
             raise AssertionError("work ran on a bad configuration")
 
@@ -715,26 +738,46 @@ class TestErrorSurface:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
-        assert repr(key) in err["message"]
-
-    @pytest.mark.parametrize("section, values, named", _config_surface())
-    def test_config_surface_refused_before_work(self, pipeline, tmp_path, capsys,
-                                                monkeypatch, section, values, named):
-        # every key of every section declared in cli._SECTIONS, given a value
-        # of the wrong JSON type, and an unknown key in each section
-        def no_work(*args, **kwargs):
-            raise AssertionError("the max step ran on a bad configuration")
-
-        monkeypatch.setattr(spatgev.cli, "fit_all_sites", no_work)
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({section: values}))
-        code = main(["fit", "--config", str(cfg), *pipeline["data"],
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
-        assert named in err["message"]
         assert not os.path.exists(tmp_path / "o")
+        return err["message"]
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("simulate", {"seed": "x"}, "seed"),
+        ("fit", {"mcmc": {"n_chains": "2"}}, "mcmc.n_chains"),
+        ("fit", {"mesh": {"interior_divisor": -1}, "spatial": {"psi": True}}, "mesh"),
+        ("fit", {"priors": {"s0": "x"}, "spatial": {"psi": True}}, "priors.s0"),
+        ("cv", {"cv": {"n_samples": "x"}}, "cv.n_samples"),
+        ("aggregate", {"aggregate": {"n_blocks": "x"}}, "aggregate.n_blocks"),
+        ("predict", {"predict": {"include_nugget": "no"}}, "predict.include_nugget"),
+    ])
+    def test_wrong_config_type_refused_before_work(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch, command, config, key):
+        message = self._refusal(pipeline, tmp_path, capsys, monkeypatch, command, config)
+        assert repr(key) in message
+
+    @pytest.mark.parametrize("command, config", [
+        ("fit", {"mcmc": {"n_kept": 0}}),
+        ("cv", {"mcmc": {"n_kept": 0}}),
+        ("aggregate", {"aggregate": {"n_bootstrap": 0}}),
+        ("cv", {"cv": {"n_heldout": -1}}),
+        ("cv", {"cv": {"n_eff_space": -1}}),
+        ("cv", {"cv": {"n_eff_time": 0}}),
+    ])
+    def test_out_of_range_refused_before_work(self, pipeline, tmp_path, capsys,
+                                              monkeypatch, command, config):
+        # each ended in a traceback, or in cv's case an inf standard error
+        message = self._refusal(pipeline, tmp_path, capsys, monkeypatch, command, config)
+        ((section, values),) = config.items()
+        ((name, _),) = values.items()
+        assert repr(section) in message and name in message
+
+    @pytest.mark.parametrize("config, named", _config_surface())
+    def test_config_surface_refused_before_work(self, pipeline, tmp_path, capsys,
+                                                monkeypatch, config, named):
+        # every declared key given a value of the wrong JSON type, every list
+        # an element of the wrong type, and an unknown key in each section
+        message = self._refusal(pipeline, tmp_path, capsys, monkeypatch, "fit", config)
+        assert named in message
 
     @pytest.mark.parametrize("command", ["fit", "select"])
     def test_non_finite_untransformed_descriptor_refused(self, pipeline, tmp_path,
@@ -764,6 +807,78 @@ class TestErrorSurface:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+COMMANDS = ("simulate", "fit-sites", "select", "fit", "predict", "return-levels", "cv",
+            "aggregate")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+FUZZED_KEYS = ([key for key, _ in _declared_keys()] + SECTIONS + ["extra"]
+               + [f"{section}.extra" for section in SECTIONS])
+
+
+@st.composite
+def _fuzzed_configs(draw) -> dict:
+    """A config setting a few declared, section or unknown keys to arbitrary
+    JSON values."""
+    config: dict = {}
+    for key, value in draw(st.dictionaries(st.sampled_from(FUZZED_KEYS), JSON_VALUES,
+                                           max_size=3)).items():
+        *parents, last = key.split(".")
+        node = config
+        for name in parents:
+            if not isinstance(node.get(name), dict):
+                node[name] = {}
+            node = node[name]
+        node[last] = value
+    return config
+
+
+class WorkReached(Exception):
+    """Raised by the first work call of a command: the config was accepted."""
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(COMMANDS), config=_fuzzed_configs(), refused=st.just(False))
+@example(command="aggregate", config={"aggregate": {"stations": [[1]]}}, refused=True)
+@example(command="predict", config={"predict": {"stations": [[1]]}}, refused=True)
+@example(command="cv", config={"cv": {"variants": [["a"]]}}, refused=True)
+@example(command="fit", config={"mcmc": {"n_kept": 0}}, refused=True)
+@example(command="cv", config={"mcmc": {"n_kept": 0}}, refused=True)
+@example(command="aggregate", config={"aggregate": {"n_bootstrap": 0}}, refused=True)
+@example(command="cv", config={"cv": {"n_heldout": -1}}, refused=True)
+@example(command="cv", config={"cv": {"n_eff_space": -1}}, refused=True)
+@example(command="cv", config={"cv": {"n_eff_time": 0}}, refused=True)
+@example(command="fit", config={"priors": {"s0": "x"}}, refused=True)
+@example(command="cv", config={"cv": {"n_samples": "x"}}, refused=True)
+def test_fuzzed_config_refused_or_reaches_work(command, config, refused, tmp_path,
+                                               monkeypatch, capsys):
+    # every command either refuses a config with exit 2 and no output
+    # directory, or reaches its first work call; never a traceback.  The
+    # explicit examples once got past the loader and must be refused.
+    def reached(*args, **kwargs):
+        raise WorkReached
+
+    for name in ("simulate_dataset", "_load_inputs", "_load_fit"):
+        monkeypatch.setattr(spatgev.cli, name, reached)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = [command, "--config", json.dumps(config), "--out", str(out)]
+    if command in ("predict", "return-levels", "aggregate"):
+        argv += ["--fit", str(tmp_path / "fit")]
+    try:
+        code = main(argv)
+    except WorkReached:
+        assert not refused, f"{config} reached the work of {command}"
+        return
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
 
 
 class TestSelect:

@@ -1,4 +1,5 @@
-"""Tests for CSV ingestion, descriptor transforms, and run configuration."""
+"""Tests for CSV ingestion, descriptor transforms, and the run configuration's
+loader (cli.RunConfig)."""
 
 import json
 import math
@@ -10,8 +11,6 @@ from numpy.testing import assert_allclose
 from spatgev.dataio import (
     DescriptorTransform,
     MaximaDataset,
-    RunConfig,
-    config_hash,
     group_maxima,
     read_descriptors_csv,
     read_maxima_csv,
@@ -19,7 +18,9 @@ from spatgev.dataio import (
     write_json_atomic,
     write_maxima_csv,
 )
+from spatgev.cli import RunConfig, config_hash
 from spatgev.errors import ConfigError, DataError
+from spatgev.latent import McmcConfig
 
 
 class TestMaximaCsv:
@@ -240,8 +241,13 @@ class TestRunConfig:
             "mcmc": {"n_chains": 4, "n_iterations": 2000},
         }))
         assert cfg.seed == 7
-        assert cfg.get("trend") is True
-        assert cfg.get("missing", "dflt") == "dflt"
+        assert cfg.trend is True
+        assert cfg.covariates == ["SAAR"]
+        assert cfg.t0 is None and cfg.tau_covariates == []
+        assert (cfg.mcmc.n_chains, cfg.mcmc.n_iterations) == (4, 2000)
+        assert cfg.mcmc.n_kept == McmcConfig().n_kept
+        # a section's seed takes the run's seed unless given
+        assert cfg.mcmc.seed == cfg.selection.seed == cfg.cv.seed == 7
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -257,7 +263,7 @@ class TestRunConfig:
             RunConfig.from_json(text)
 
     def test_int_is_a_float(self):
-        assert RunConfig.from_json('{"t0": 1990}').get("t0") == 1990
+        assert RunConfig.from_json('{"t0": 1990}').t0 == 1990
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):

@@ -18,6 +18,7 @@ from spatgev.errors import ConfigError, DataError
 from spatgev.evaluate import (
     LGM_VARIANTS,
     LOG_SCORE_FLOOR,
+    CvConfig,
     RsmFit,
     ad_critical_value,
     anderson_darling,
@@ -131,7 +132,7 @@ class TestSeOfMeanDiff:
         assert_allclose(se_of_mean_diff(diffs, 13.0, 50.0), SE_650, rtol=1e-12)
 
     def test_constant_diffs(self):
-        assert se_of_mean_diff(np.full(20, 0.37)) == 0.0
+        assert se_of_mean_diff(np.full(20, 0.37), 13.0, 50.0) == 0.0
 
     def test_space_scaling(self):
         rng = np.random.default_rng(4)
@@ -142,7 +143,7 @@ class TestSeOfMeanDiff:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            se_of_mean_diff(np.array([]))
+            se_of_mean_diff(np.array([]), 13.0, 50.0)
 
 
 class TestConstAndMle:
@@ -275,7 +276,7 @@ class TestCvPlan:
         years, y = ds.records[1]
         keep = years != 2007.0
         ds.records[1] = (years[keep], y[keep])
-        plan = make_cv_plan(ds, n_heldout=3, seed=1)
+        plan = make_cv_plan(ds, CvConfig(n_heldout=3, seed=1))
         used = np.concatenate([plan.train_sites, plan.heldout_sites])
         assert 0 not in used and 1 not in used
         assert np.intersect1d(plan.train_sites, plan.heldout_sites).size == 0
@@ -284,16 +285,16 @@ class TestCvPlan:
 
     def test_seeded_determinism(self):
         ds = self._dataset()
-        a = make_cv_plan(ds, n_heldout=3, seed=5)
-        b = make_cv_plan(ds, n_heldout=3, seed=5)
-        c = make_cv_plan(ds, n_heldout=3, seed=6)
+        a = make_cv_plan(ds, CvConfig(n_heldout=3, seed=5))
+        b = make_cv_plan(ds, CvConfig(n_heldout=3, seed=5))
+        c = make_cv_plan(ds, CvConfig(n_heldout=3, seed=6))
         assert np.array_equal(a.heldout_sites, b.heldout_sites)
         assert not np.array_equal(a.heldout_sites, c.heldout_sites)
 
     def test_too_few_eligible(self):
         ds = self._dataset()
         with pytest.raises(ConfigError):
-            make_cv_plan(ds, n_heldout=12)
+            make_cv_plan(ds, CvConfig(n_heldout=12))
 
 
 @pytest.fixture(scope="module")
@@ -303,11 +304,10 @@ def cv_result():
                    s_psi=0.0, eps_psi=0.3, s_tau=0.0, eps_tau=0.12,
                    record_length=50)
     sim = simulate_dataset(scn, seed=17)
-    plan = make_cv_plan(sim.dataset, n_heldout=3, seed=2)
+    plan = make_cv_plan(sim.dataset, CvConfig(n_heldout=3, seed=2))
     mcmc = McmcConfig(n_chains=2, n_iterations=500, n_kept=150, seed=4)
-    res = run_cv(sim.dataset, plan,
-                 variants=("CONST", "MLE", "RSM", "LGM-IID", "LGM-COV"),
-                 mcmc=mcmc, n_samples=8000, seed=9)
+    cv = CvConfig(variants=["CONST", "MLE", "RSM", "LGM-IID", "LGM-COV"], n_samples=8000)
+    res = run_cv(sim.dataset, plan, cv, mcmc=mcmc, seed=9)
     return res, plan
 
 
@@ -319,7 +319,8 @@ def cv_max_steps():
     scn = Scenario(n_sites=12, n_covariates=1, beta_psi=(3.4, 0.5),
                    beta_tau=(-1.0, 0.1), record_length=50)
     ds = simulate_dataset(scn, seed=21).dataset
-    plan = make_cv_plan(ds, n_heldout=3, seed=3)
+    cv = CvConfig(n_heldout=3, seed=3, n_samples=500)
+    plan = make_cv_plan(ds, cv)
     stacked_calls, mle_params = [], []
     with pytest.MonkeyPatch.context() as mp:
         fit_all = evaluate.fit_all_sites
@@ -335,9 +336,8 @@ def cv_max_steps():
 
         mp.setattr(evaluate, "fit_all_sites", counted)
         mp.setattr(evaluate, "fit_mle", recorded)
-        res = run_cv(ds, plan, mcmc=McmcConfig(n_chains=1, n_iterations=60,
-                                               n_kept=10, seed=2),
-                     n_samples=500, seed=1)
+        res = run_cv(ds, plan, cv, mcmc=McmcConfig(n_chains=1, n_iterations=60,
+                                                   n_kept=10, seed=2), seed=1)
     train_ds = ds.subset(plan.train_sites).filter_years(hi=plan.train_end_year)
     return res, stacked_calls, mle_params, train_ds
 
@@ -396,10 +396,10 @@ class TestRunCv:
         scn = Scenario(n_sites=12, record_length=50)
         ds = simulate_dataset(scn, seed=3).dataset
         with pytest.raises(ConfigError):
-            run_cv(ds, make_cv_plan(ds, n_heldout=3), variants=("NOPE",))
+            run_cv(ds, make_cv_plan(ds, CvConfig(n_heldout=3)), CvConfig(variants=["NOPE"]))
 
 
-def _per_cell_tables(ds, plan, variants, mcmc, n_samples, n_samples_trend, seed, mesh):
+def _per_cell_tables(ds, plan, cv, mcmc, seed, mesh):
     """run_cv's tables for LGM variants from a loop that draws a predictive
     sample set at the first cell of each (site, year if trend) and estimates
     the density cell by cell."""
@@ -410,12 +410,12 @@ def _per_cell_tables(ds, plan, variants, mcmc, n_samples, n_samples_trend, seed,
     train_pos = {int(s): k for k, s in enumerate(plan.train_sites)}
     rng = np.random.default_rng(seed)
     bits = {"within": {}, "out": {}}
-    for name in variants:
+    for name in cv.variants:
         spec = LGM_VARIANTS[name]
         stacked = fit_all_sites(train_ds.records, trend=spec.trend,
                                 station_ids=train_ds.station_ids)
         result = evaluate._fit_lgm(ds, spec, plan, names, mcmc, mesh, stacked)
-        total = n_samples_trend if spec.trend else n_samples
+        total = cv.n_samples_trend if spec.trend else cv.n_samples
         n_per = max(1, round(total / result.n_draws))
         for mode in ("within", "out"):
             cache, out = {}, []
@@ -443,10 +443,11 @@ class TestRunCvGrouping:
         scn = Scenario(n_sites=12, n_covariates=1, beta_psi=(3.4, 0.5),
                        beta_tau=(-1.0, 0.1), trend=True, record_length=50)
         ds = simulate_dataset(scn, seed=21).dataset
-        plan = make_cv_plan(ds, n_heldout=3, seed=3)
+        cv = CvConfig(n_heldout=3, seed=3, variants=list(self.VARIANTS), n_samples=500,
+                      n_samples_trend=200)
+        plan = make_cv_plan(ds, cv)
         mesh = build_mesh(ds.sites)
         mcmc = McmcConfig(n_chains=1, n_iterations=60, n_kept=10, seed=2)
-        sizes = {"n_samples": 500, "n_samples_trend": 200, "seed": 1}
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             kde = evaluate.kde_density
@@ -456,8 +457,8 @@ class TestRunCvGrouping:
                 return kde(samples, y)
 
             mp.setattr(evaluate, "kde_density", counted)
-            res = run_cv(ds, plan, variants=self.VARIANTS, mcmc=mcmc, mesh=mesh, **sizes)
-        ref = _per_cell_tables(ds, plan, self.VARIANTS, mcmc, mesh=mesh, **sizes)
+            res = run_cv(ds, plan, cv, mcmc=mcmc, seed=1, mesh=mesh)
+        ref = _per_cell_tables(ds, plan, cv, mcmc, seed=1, mesh=mesh)
         return res, ref, calls, plan
 
     def test_tables_equal_per_cell_reference(self, runs):
