@@ -208,8 +208,9 @@ class RunConfig:
         for name, section in list(vars(cfg).items()):
             if not is_dataclass(section):
                 continue
+            given = data.get(name, {})
             section = replace(section, **{k: v for k, v in run_level.items()
-                                          if hasattr(section, k) and k not in data.get(name, {})})
+                                          if hasattr(section, k) and k not in given})
             try:
                 getattr(section, "validate", lambda: None)()
             except ValueError as exc:
@@ -271,8 +272,8 @@ def _build(cls, values, path: str):
         if not _matches(value, hint):
             raise ConfigError(f"config key {keys[name]!r} must be {_describe(hint)}, "
                               f"got {value!r}")
-        as_tuple = isinstance(value, list) and (hint is tuple or tuple in typing.get_args(hint))
-        built[name] = tuple(value) if as_tuple else value
+        wants_tuple = hint is tuple or tuple in typing.get_args(hint)
+        built[name] = tuple(value) if wants_tuple and isinstance(value, list) else value
     return cls(**built)
 
 

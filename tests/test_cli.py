@@ -656,7 +656,9 @@ def _config_surface():
     unknown key per section."""
     cases = []
     for key, hint in _declared_keys():
-        kinds = [hint] if typing.get_origin(hint) is list else list(typing.get_args(hint)) or [hint]
+        # the types a union admits; a list type is one kind
+        kinds = ([hint] if typing.get_origin(hint) is list
+                 else list(typing.get_args(hint)) or [hint])
         wrong = 5 if str in kinds else "x"
         cases.append(pytest.param(_nested(key, wrong), repr(key), id=key))
         if tuple in kinds:
@@ -765,7 +767,6 @@ class TestErrorSurface:
     ])
     def test_out_of_range_refused_before_work(self, pipeline, tmp_path, capsys,
                                               monkeypatch, command, config):
-        # each ended in a traceback, or in cv's case an inf standard error
         message = self._refusal(pipeline, tmp_path, capsys, monkeypatch, command, config)
         ((section, values),) = config.items()
         ((name, _),) = values.items()
