@@ -18,8 +18,10 @@ unknown key at any level, or a value, list element or number that is not of
 its declared type, exits 2 naming the key's dotted path.  The loader is the
 one place that applies the two run-level defaults: a section's seed takes the
 run's seed, and aggregate.periods takes return_periods, unless given.  Then
-every section's validate runs, and a value out of range exits 2 as well.
-Commands read attributes of the tree.  select, fit and cv share priors and mesh: their
+every section's validate runs, and a value out of range (a negative seed
+among them) exits 2 as well.  Commands read attributes of the tree, and
+RunConfig.anchor is the one place where an absent t0 becomes the link's
+anchor year.  select, fit and cv share priors and mesh: their
 latent structures take the one priors section, and their fields live on a
 mesh built with the one mesh section.
 
@@ -31,12 +33,15 @@ link-space mode, the full q x q precision block (repr floats, so they read
 back bit for bit) and the fit's loglik, n_obs, converged, hessian_repaired
 and n_restarts.  fit also writes mesh.json, the triangulation its fields live
 on (compact JSON with repr floats, null for a model without fields).
-predict, return-levels and aggregate rebuild the latent structure from those
-two files: they never rerun the max step, build no mesh and import no scipy
-module.  Every file they read from the fit directory must match its sha256 in
-manifest.json; a missing manifest, file or entry, or a mismatch, is refused
-with a data error, and so is a mesh whose leading nodes are not the input's
-site coordinates.
+predict, return-levels and aggregate read back the fitted posterior
+(latent.SmoothResult): the latent structure from those two files, the draws
+from theta_draws.csv and the .npy files, and the trend's anchor from
+model.json's t0.  They never rerun the max step, build no mesh and import no
+scipy module; the sampler's report (theta_summary.csv, and model.json's
+acceptance, status and warnings) is for the reader.  Every one of these files
+must match its sha256 in manifest.json; a missing manifest, file or entry, or
+a mismatch, is refused with a data error, and so is a mesh whose leading
+nodes are not the input's site coordinates.
 
 Where the work runs: fit, fit-sites, select and cv fit the stations of the
 max step, run the MCMC chains and select covariates per link parameter in
@@ -76,14 +81,7 @@ from .dataio import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import CvConfig, make_cv_plan, run_cv
-from .latent import (
-    McmcConfig,
-    Priors,
-    SmoothResult,
-    ThetaSamples,
-    build_structure,
-    smooth_step,
-)
+from .latent import McmcConfig, Priors, SmoothResult, build_structure, smooth_step
 from .predict import UngaugedSite, posterior_predictive, return_level, ungauged_return_level
 from .selection import SelectionConfig, select_all
 from .simulate import Scenario, simulate_dataset
@@ -93,7 +91,7 @@ from .spde import Mesh, MeshOptions, build_mesh
 _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4}
 MAX_STEP_FILE = "max_step.csv"
 MESH_FILE = "mesh.json"
-# files of a fit directory that queries read, each checked against manifest.json
+# fit files that queries check against manifest.json; they read all but theta_summary.csv
 FIT_FILES = ("model.json", MAX_STEP_FILE, MESH_FILE, "theta_draws.csv",
              "theta_summary.csv", "eta_draws.npy", "nu_draws.npy")
 
@@ -167,7 +165,7 @@ class RunConfig:
 
     seed: int = 0
     trend: bool = False
-    t0: float = None  # absent: the link's anchor year; null is refused
+    t0: float = None  # absent: the link's anchor year (see anchor); null is refused
     covariates: list[str] = field(default_factory=list)  # psi's design
     tau_covariates: list[str] = field(default_factory=list)
     transform_descriptors: bool = True  # false when columns are ready-made designs
@@ -204,6 +202,8 @@ class RunConfig:
             raise ConfigError("config root must be a JSON object")
         cfg = _build(cls, data, "")
         cfg.raw = data
+        if cfg.seed < 0:
+            raise ConfigError(f"config key 'seed' must not be negative, got {cfg.seed}")
         run_level = {"seed": cfg.seed, "periods": cfg.return_periods}
         for name, section in list(vars(cfg).items()):
             if not is_dataclass(section):
@@ -217,6 +217,11 @@ class RunConfig:
                 raise ConfigError(f"config key {name!r}: {exc}") from exc
             setattr(cfg, name, section)
         return cfg
+
+    @property
+    def anchor(self) -> float:
+        """The year the trend is anchored at: t0, or the link's t0 if absent."""
+        return gev.LINK.t0 if self.t0 is None else self.t0
 
 
 def _is_number(value) -> bool:
@@ -274,7 +279,10 @@ def _build(cls, values, path: str):
                               f"got {value!r}")
         wants_tuple = hint is tuple or tuple in typing.get_args(hint)
         built[name] = tuple(value) if wants_tuple and isinstance(value, list) else value
-    return cls(**built)
+    try:
+        return cls(**built)
+    except ValueError as exc:  # a section's own checks, as in from_json
+        raise ConfigError(f"config key {path!r}: {exc}") from exc
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -354,7 +362,7 @@ def _load_inputs(cfg: RunConfig, args):
 
 def _max_step(cfg: RunConfig, ds: MaximaDataset) -> StackedFits:
     return fit_all_sites(ds.records, trend=cfg.trend, station_ids=ds.station_ids,
-                         **({"t0": cfg.t0} if cfg.t0 is not None else {}))
+                         t0=cfg.anchor)
 
 
 # ----------------------------------------------------------------------------
@@ -519,8 +527,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     structure = _structure_from(cfg, ds, stacked, mesh)
     mcmc = cfg.mcmc
     _progress(f"smooth step: {mcmc.n_chains} chains x {mcmc.n_iterations} iterations")
-    result = smooth_step(structure, mcmc, latent_seed=mcmc.seed + 1)
-    theta = result.theta
+    theta, result = smooth_step(structure, mcmc, latent_seed=mcmc.seed + 1, t0=cfg.anchor)
     if theta.status != "ok":
         for w in theta.warnings:
             _progress(f"warning: {w}")
@@ -536,7 +543,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     outputs.append((MESH_FILE, path))
 
     path = _out_path(args, "theta_draws.csv")
-    write_csv_atomic(path, theta.names,
+    write_csv_atomic(path, structure.theta_names,
                      [[_fmt(v) for v in row] for row in theta.draws])
     outputs.append(("theta_draws.csv", path))
 
@@ -544,7 +551,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     write_csv_atomic(path, ["name", "mean", "sd", "rhat", "ess"], [
         [nm, _fmt(theta.draws[:, k].mean()), _fmt(theta.draws[:, k].std(ddof=1)),
          _fmt(theta.rhat[k]), _fmt(theta.ess[k])]
-        for k, nm in enumerate(theta.names)
+        for k, nm in enumerate(structure.theta_names)
     ])
     outputs.append(("theta_summary.csv", path))
 
@@ -575,7 +582,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
         "priors": cfg.raw.get("priors", {}),
         "mesh": cfg.raw.get("mesh", {}),
         "n_chains": mcmc.n_chains,
-        "theta_names": theta.names,
+        "theta_names": structure.theta_names,
         "station_ids": list(ds.station_ids),
         "status": theta.status,
         "warnings": list(theta.warnings),
@@ -587,13 +594,6 @@ def cmd_fit(args, cfg: RunConfig) -> int:
 
     _write_manifest(args.out, "fit", cfg, outputs)
     return 0
-
-
-def _read_draws_csv(path: str):
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return header, data
 
 
 def _read_draws_npy(path: str, n_draws: int) -> np.ndarray:
@@ -649,18 +649,19 @@ def _read_mesh(fit_dir: str, model: dict, ds: MaximaDataset) -> Mesh | None:
 
 
 def _load_fit(fit_dir: str, cfg: RunConfig, args):
-    """Reassemble a SmoothResult from a fit directory plus the input data.
+    """The fitted posterior of a fit directory, with the input data.
 
-    The fit directory holds model.json, max_step.csv, mesh.json,
-    theta_draws.csv, theta_summary.csv, eta_draws.npy and nu_draws.npy, each
-    checked against its sha256 in manifest.json first.  The .npy draws are
-    read whole, without pickles or a memory map, and must be 2-D float64
-    arrays with one row per theta draw; a directory with the older CSV draws
-    is refused as missing them.  The latent structure is rebuilt from
-    max_step.csv, whose station order and parameter count must match
-    model.json, and from the stored mesh; neither the max step nor the mesh
-    is computed again.  The input data still supplies station coordinates,
-    covariates and records.
+    Every file in FIT_FILES is first checked against its sha256 in
+    manifest.json.  A query then reads three things.  The structure:
+    max_step.csv and mesh.json, under the model of model.json, whose station
+    order and parameter count they must match; neither the max step nor the
+    mesh is computed again.  The draws: theta_draws.csv, and eta_draws.npy
+    and nu_draws.npy, read whole without pickles or a memory map, which must
+    be 2-D float64 arrays with one row per theta draw (a directory with the
+    older CSV draws is refused as missing them).  The trend anchor: t0 of
+    model.json.  The sampler's report (theta_summary.csv, and the
+    acceptance and status of model.json) is checked but not read.  The
+    input data still supplies station coordinates, covariates and records.
     """
     _check_fit_files(fit_dir)
     with open(os.path.join(fit_dir, "model.json")) as fh:
@@ -678,31 +679,24 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
     fitted = replace(cfg, covariates=model["covariates"],
                      tau_covariates=model["tau_covariates"],
                      spatial=_build(SpatialConfig, model["spatial"], "spatial"),
-                     priors=_build(Priors, model["priors"], "priors"))
+                     priors=_build(Priors, model["priors"], "priors"), t0=model["t0"])
     structure = _structure_from(fitted, ds, _read_max_step(fit_dir, model),
                                 _read_mesh(fit_dir, model, ds))
 
-    names, theta_draws = _read_draws_csv(os.path.join(fit_dir, "theta_draws.csv"))
+    path = os.path.join(fit_dir, "theta_draws.csv")
+    with open(path, newline="") as fh:
+        names = fh.readline().rstrip("\r\n").split(",")
+    theta_draws = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if names != model["theta_names"]:
         raise DataError("theta draw columns do not match the fitted model")
-    summary = np.loadtxt(os.path.join(fit_dir, "theta_summary.csv"),
-                         delimiter=",", skiprows=1,
-                         usecols=(1, 2, 3, 4), ndmin=2)
-    theta = ThetaSamples(
-        draws=theta_draws, names=names,
-        rhat=summary[:, 2], ess=summary[:, 3],
-        accept_rate=np.asarray(model["accept_rate"]),
-        status=model["status"], warnings=list(model["warnings"]),
-        by_chain=theta_draws.reshape(model["n_chains"], -1, theta_draws.shape[1]),
-    )
     eta_draws, nu_draws = (_read_draws_npy(os.path.join(fit_dir, name), len(theta_draws))
                            for name in ("eta_draws.npy", "nu_draws.npy"))
     if eta_draws.shape[1] != structure.eta_hat.size:
         raise DataError("latent draw width does not match the model structure")
     if nu_draws.shape[1] != structure.n_nu:
         raise DataError("coefficient draw width does not match the model structure")
-    result = SmoothResult(structure=structure, theta=theta,
-                          eta_draws=eta_draws, nu_draws=nu_draws)
+    result = SmoothResult(structure=structure, theta_draws=theta_draws,
+                          eta_draws=eta_draws, nu_draws=nu_draws, t0=fitted.anchor)
     return result, ds, model
 
 
@@ -724,7 +718,7 @@ def _write_levels(args, command: str, cfg: RunConfig, name: str, curves: list, y
 
 
 def cmd_predict(args, cfg: RunConfig) -> int:
-    result, ds, model = _load_fit(args.fit, cfg, args)
+    result, ds, _ = _load_fit(args.fit, cfg, args)
     opts = cfg.predict
     stations = opts.stations or list(ds.station_ids)
     periods = _periods_from(cfg)
@@ -734,8 +728,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     for st in stations:
         if st not in index:
             raise ConfigError(f"unknown station {st!r}")
-        curves.append((st, return_level(result, index[st], periods, year=opts.year,
-                                        t0=model.get("t0"))))
+        curves.append((st, return_level(result, index[st], periods, year=opts.year)))
     return _write_levels(args, "predict", cfg, "return_levels.csv", curves, opts.year)
 
 
@@ -779,7 +772,6 @@ def cmd_return_levels(args, cfg: RunConfig) -> int:
             design_rows=design_rows,
         )
         curves.append((st, ungauged_return_level(result, site, periods, rng, year=opts.year,
-                                                  t0=model.get("t0"),
                                                   include_nugget=opts.include_nugget)))
     return _write_levels(args, "return-levels", cfg, "ungauged_levels.csv", curves, opts.year)
 
@@ -793,7 +785,7 @@ def cmd_cv(args, cfg: RunConfig) -> int:
               f"{plan.train_sites.size} training and "
               f"{plan.heldout_sites.size} held-out stations")
     res = run_cv(ds, plan, cfg.cv, covariate_names=cfg.covariates or None, mcmc=cfg.mcmc,
-                 seed=cfg.seed, t0=cfg.t0, priors=cfg.priors, mesh_options=cfg.mesh)
+                 seed=cfg.seed, t0=cfg.anchor, priors=cfg.priors, mesh_options=cfg.mesh)
 
     outputs = []
     for name, table in (("cv_within.csv", res.within),
@@ -826,7 +818,7 @@ def cmd_cv(args, cfg: RunConfig) -> int:
 
 
 def cmd_aggregate(args, cfg: RunConfig) -> int:
-    result, ds, model = _load_fit(args.fit, cfg, args)
+    result, ds, _ = _load_fit(args.fit, cfg, args)
     opts = cfg.aggregate
     index = {st: i for i, st in enumerate(ds.station_ids)}
     stations = opts.stations or list(ds.station_ids)
@@ -853,8 +845,7 @@ def cmd_aggregate(args, cfg: RunConfig) -> int:
               f"{opts.n_blocks} blocks")
     rng_pool = np.random.default_rng(cfg.seed)
     n_per = max(1, -(-opts.pool_size // result.n_draws))
-    pools = [posterior_predictive(result, int(i), rng_pool, year=year,
-                                  n_per_draw=n_per, t0=model.get("t0"))
+    pools = [posterior_predictive(result, int(i), rng_pool, year=year, n_per_draw=n_per)
              for i in block.station_indices]
 
     def sampler(rng):

@@ -177,13 +177,10 @@ def group_maxima(rows: list, sites_by_station: dict | None = None) -> MaximaData
 
 def write_maxima_csv(path: str, dataset: MaximaDataset) -> None:
     """Write records back to the long-form format; read_maxima_csv inverts it."""
-    with open(path + ".tmp", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["station", "year", "amax"])
-        for st, (years, y) in zip(dataset.station_ids, dataset.records):
-            for yr, v in zip(years, y):
-                writer.writerow([st, int(yr), repr(float(v))])
-    os.replace(path + ".tmp", path)
+    write_csv_atomic(path, ["station", "year", "amax"], (
+        [st, int(yr), repr(float(v))]
+        for st, (years, y) in zip(dataset.station_ids, dataset.records)
+        for yr, v in zip(years, y)))
 
 
 _BOOL_STRINGS = {"true": 1.0, "false": 0.0, "yes": 1.0, "no": 0.0}

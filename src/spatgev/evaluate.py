@@ -20,8 +20,8 @@ import numpy as np
 
 from .dataio import MaximaDataset
 from .errors import ConfigError, DataError, NumericalError
-from .gev import GevParams, link_inverse, LinkedParams, logpdf, shape_inverse
-from .latent import McmcConfig, Priors, build_structure, smooth_step
+from .gev import LINK, GevParams, link_inverse, LinkedParams, logpdf, shape_inverse
+from .latent import McmcConfig, Priors, SmoothResult, build_structure, smooth_step
 from .predict import UngaugedSite, posterior_predictive
 from .site_fit import (
     StackedFits,
@@ -261,6 +261,8 @@ class CvConfig:
     def validate(self) -> None:
         if self.n_heldout < 0:
             raise ValueError("n_heldout must not be negative")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if self.n_eff_time is not None and self.n_eff_time <= 0:
             raise ValueError("n_eff_time must be positive")
         if self.n_eff_space <= 0:
@@ -434,7 +436,7 @@ def _gev_bits(cells: list, mu, sigma, xi) -> np.ndarray:
 
 def _fit_lgm(dataset: MaximaDataset, spec: ModelSpec, plan: CvPlan,
              covariate_names: list, mcmc: McmcConfig, mesh, stacked: StackedFits,
-             priors: Priors | None = None):
+             t0: float, priors: Priors | None = None) -> SmoothResult:
     designs, names = {}, {}
     if spec.covariates and covariate_names:
         X = dataset.subset(plan.train_sites).design_matrix(covariate_names)
@@ -445,7 +447,7 @@ def _fit_lgm(dataset: MaximaDataset, spec: ModelSpec, plan: CvPlan,
         sites=dataset.sites[plan.train_sites],
         mesh=mesh if spec.spatial else None, priors=priors, covariate_names=names,
     )
-    return smooth_step(structure, mcmc)
+    return smooth_step(structure, mcmc, t0=t0)[1]
 
 
 def _ungauged_for(dataset: MaximaDataset, spec: ModelSpec, site: int,
@@ -463,7 +465,7 @@ def _ungauged_for(dataset: MaximaDataset, spec: ModelSpec, site: int,
 def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
            covariate_names: list | None = None,
            mcmc: McmcConfig | None = None,
-           seed: int = 0, t0: float | None = None, mesh=None,
+           seed: int = 0, t0: float = LINK.t0, mesh=None,
            priors: Priors | None = None, mesh_options=None) -> CvResult:
     """Fit every variant of cv.variants on the training window and score
     test cells.
@@ -510,8 +512,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
         if trend not in site_fits_by_trend:
             site_fits_by_trend[trend] = fit_all_sites(
                 train_ds.records, trend=trend,
-                station_ids=train_ds.station_ids,
-                **({"t0": t0} if t0 is not None else {}))
+                station_ids=train_ds.station_ids, t0=t0)
         return site_fits_by_trend[trend]
 
     for name in variants:
@@ -541,7 +542,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
             else:
                 spec = LGM_VARIANTS[name]
                 result = _fit_lgm(dataset, spec, plan, covariate_names, mcmc,
-                                  mesh, site_fits(spec.trend), priors)
+                                  mesh, site_fits(spec.trend), t0, priors)
                 total = cv.n_samples_trend if spec.trend else cv.n_samples
                 n_per = max(1, round(total / result.n_draws))
 
@@ -558,7 +559,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
                         target = (train_pos[s] if gauged else
                                   _ungauged_for(dataset, spec, s, covariate_names))
                         samples = posterior_predictive(result, target, rng, year=yr,
-                                                       n_per_draw=n_per, t0=t0)
+                                                       n_per_draw=n_per)
                         bits[ks] = _bits_from_density(kde_density(samples, values[ks]))
                     return bits
 

@@ -138,10 +138,9 @@ class LinkedParams:
     gamma: float = 0.0
 
 
-def location_at(p: GevParams, t, t0: float | None = None) -> np.ndarray | float:
+def location_at(p: GevParams, t, t0: float = LINK.t0) -> np.ndarray | float:
     """Time-dependent location mu * (1 + delta * (t - t0))."""
-    anchor = LINK.t0 if t0 is None else t0
-    return p.mu * (1.0 + p.delta * (np.asarray(t, dtype=float) - anchor))
+    return p.mu * (1.0 + p.delta * (np.asarray(t, dtype=float) - t0))
 
 
 # ----------------------------------------------------------------------------
@@ -259,23 +258,21 @@ def _at_year(kernel, x, p: GevParams, t, t0):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("observations must be finite")
-    if t is None:
-        t = t0 if t0 is not None else LINK.t0
-    out = kernel(x, location_at(p, t, t0), p.sigma, p.xi)
+    out = kernel(x, location_at(p, t0 if t is None else t, t0), p.sigma, p.xi)
     return out if out.ndim else float(out)
 
 
-def gev_log_pdf(y, p: GevParams, t=None, t0: float | None = None):
+def gev_log_pdf(y, p: GevParams, t=None, t0: float = LINK.t0):
     """Log-density of the GEV with trend-adjusted location; -inf outside support."""
     return _at_year(logpdf, y, p, t, t0)
 
 
-def gev_cdf(y, p: GevParams, t=None, t0: float | None = None):
+def gev_cdf(y, p: GevParams, t=None, t0: float = LINK.t0):
     """GEV distribution function; 0 below and 1 above the support."""
     return _at_year(cdf, y, p, t, t0)
 
 
-def gev_quantile(prob, p: GevParams, t=None, t0: float | None = None):
+def gev_quantile(prob, p: GevParams, t=None, t0: float = LINK.t0):
     """Quantile (inverse CDF) at probability prob in (0, 1)."""
     prob = np.asarray(prob, dtype=float)
     if not np.all((prob > 0.0) & (prob < 1.0)):
@@ -283,7 +280,7 @@ def gev_quantile(prob, p: GevParams, t=None, t0: float | None = None):
     return _at_year(quantile, prob, p, t, t0)
 
 
-def gev_sample(p: GevParams, t, n: int, rng: np.random.Generator, t0: float | None = None):
+def gev_sample(p: GevParams, t, n: int, rng: np.random.Generator, t0: float = LINK.t0):
     """Draw n variates at year(s) t by inverse-CDF of uniforms."""
     u = rng.uniform(size=n)
     return gev_quantile(u, p, t, t0)

@@ -45,6 +45,7 @@ import numpy as np
 from ._sparse import ArrowFactor, ArrowLayout, arrow_layout
 from ._workers import run_indexed
 from .errors import ConfigError, NumericalError
+from .gev import LINK
 from .site_fit import StackedFits
 from .spde import (
     Mesh,
@@ -478,20 +479,20 @@ class McmcConfig:
             raise ConfigError("n_kept must be at least 1")
         if self.n_kept > self.n_iterations - self.n_burn:
             raise ConfigError("n_kept exceeds post-burn-in draws")
+        if self.seed < 0:
+            raise ConfigError("seed must not be negative")
 
 
 @dataclass
 class ThetaSamples:
     """Retained hyperparameter draws with convergence diagnostics."""
 
-    draws: np.ndarray  # (n_chains * n_kept, d), natural scale
-    names: list
+    draws: np.ndarray  # (n_chains * n_kept, d), natural scale, named by theta_names
     rhat: np.ndarray
     ess: np.ndarray
     accept_rate: np.ndarray  # per chain
     status: str  # "ok" or "warn"
     warnings: list
-    by_chain: np.ndarray = field(repr=False)  # (n_chains, n_kept, d)
 
 
 def _split_rhat(chains: np.ndarray) -> np.ndarray:
@@ -653,13 +654,11 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
     draws = np.exp(kept.reshape(-1, d))
     return ThetaSamples(
         draws=draws,
-        names=list(structure.theta_names),
         rhat=rhat,
         ess=ess,
         accept_rate=acc_rates,
         status=status,
         warnings=warnings,
-        by_chain=np.exp(kept),
     )
 
 
@@ -668,7 +667,7 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
 # ----------------------------------------------------------------------------
 
 def sample_latent(structure: LatentStructure, theta_draws: np.ndarray,
-                  rng: np.random.Generator, max_draws: int | None = None):
+                  rng: np.random.Generator):
     """One exact joint draw of (eta, nu) per theta draw.
 
     nu comes from the collapsed factor, nu ~ N(P^-1 Z' W eta_hat, P^-1); then
@@ -683,8 +682,7 @@ def sample_latent(structure: LatentStructure, theta_draws: np.ndarray,
     Returns (eta_draws, nu_draws) with shapes (n, q*J) and (n, n_nu).
     """
     theta_draws = np.atleast_2d(np.asarray(theta_draws, dtype=float))
-    n = theta_draws.shape[0] if max_draws is None else min(max_draws, theta_draws.shape[0])
-    theta_draws = theta_draws[:n]
+    n = theta_draws.shape[0]
     J, q, n_nu = structure.n_sites, structure.n_params, structure.n_nu
     prec = structure.prec_blocks
     prec_eta_hat = np.einsum("jab,bj->ja", prec, structure.eta_hat.reshape(q, J))
@@ -716,21 +714,22 @@ def sample_latent(structure: LatentStructure, theta_draws: np.ndarray,
 
 @dataclass
 class SmoothResult:
-    """Posterior of the smoothing stage: theta and latent draws together."""
+    """The fitted posterior, all that the predict module reads.
+
+    Row k of theta_draws, eta_draws and nu_draws is one joint draw of
+    (theta, eta, nu); the trend parameter gamma is anchored at the year t0,
+    as in the max step.  The sampler's diagnostics stay in ThetaSamples.
+    """
 
     structure: LatentStructure = field(repr=False)
-    theta: ThetaSamples
+    theta_draws: np.ndarray = field(repr=False)  # (n, d), natural scale
     eta_draws: np.ndarray = field(repr=False)  # (n, q*J)
     nu_draws: np.ndarray = field(repr=False)  # (n, n_nu)
+    t0: float
 
     @property
     def n_draws(self) -> int:
         return self.eta_draws.shape[0]
-
-    @property
-    def theta_used(self) -> np.ndarray:
-        """Hyperparameter draws row-aligned with the latent draws."""
-        return self.theta.draws[: self.n_draws]
 
     def eta_by_param(self, name: str) -> np.ndarray:
         """Draws of one link parameter across sites, (n, J)."""
@@ -746,11 +745,14 @@ class SmoothResult:
 
 
 def smooth_step(structure: LatentStructure, config: McmcConfig | None = None,
-                latent_seed: int = 1, max_latent_draws: int | None = None) -> SmoothResult:
-    """Run the hyperparameter MCMC and draw the latent field per kept theta."""
+                latent_seed: int = 1,
+                t0: float = LINK.t0) -> tuple[ThetaSamples, SmoothResult]:
+    """Run the hyperparameter MCMC and draw the latent field per kept theta.
+
+    Returns the sampler's report and the posterior, its trend anchored at t0.
+    """
     theta = run_mcmc(structure, config)
     rng = np.random.default_rng(latent_seed)
-    eta_draws, nu_draws = sample_latent(structure, theta.draws, rng,
-                                        max_draws=max_latent_draws)
-    return SmoothResult(structure=structure, theta=theta,
-                        eta_draws=eta_draws, nu_draws=nu_draws)
+    eta_draws, nu_draws = sample_latent(structure, theta.draws, rng)
+    return theta, SmoothResult(structure=structure, theta_draws=theta.draws,
+                               eta_draws=eta_draws, nu_draws=nu_draws, t0=t0)

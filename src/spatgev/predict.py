@@ -1,7 +1,8 @@
 """Return levels, covariate effects, ungauged-site prediction, and
 posterior predictive sampling.
 
-All operations are pure transforms of the smoothing-stage draws.  Return
+All operations on a posterior are pure transforms of its draws
+(latent.SmoothResult), with the trend anchored at the posterior's own t0.  Return
 levels are per-draw GEV quantiles at probability 1 - 1/T summarized by the
 posterior mean and a central 95% interval; ungauged sites receive fresh
 regression-plus-field predictions with a newly drawn nugget per posterior
@@ -38,13 +39,13 @@ __all__ = [
 # ----------------------------------------------------------------------------
 
 
-def _natural_draws(linked: dict, year: float | None, t0: float | None = None):
-    """Linked draws dict -> (mu_t, sigma, xi) arrays at the given year."""
+def _natural_draws(linked: dict, year: float | None, t0: float):
+    """Linked draws dict -> (mu_t, sigma, xi) arrays at the given year (None:
+    the trend's anchor year t0)."""
     mu = np.exp(linked["psi"])
-    anchor = LINK.t0 if t0 is None else t0
-    t = anchor if year is None else float(year)
+    t = t0 if year is None else float(year)
     delta = trend_inverse(linked["gamma"]) if "gamma" in linked else 0.0
-    mu_t = mu * (1.0 + delta * (t - anchor))
+    mu_t = mu * (1.0 + delta * (t - t0))
     return mu_t, mu * np.exp(linked["tau"]), shape_inverse(linked["phi"])
 
 
@@ -77,7 +78,7 @@ def _check_periods(periods) -> np.ndarray:
     return periods
 
 
-def _curve_from_linked(linked: dict, periods, year, t0=None) -> ReturnLevelCurve:
+def _curve_from_linked(linked: dict, periods, year, t0: float) -> ReturnLevelCurve:
     periods = _check_periods(periods)
     mu_t, sigma, xi = _natural_draws(linked, year, t0)
     draws = quantile(1.0 - 1.0 / periods[:, None], mu_t, sigma, xi)
@@ -91,18 +92,18 @@ def _curve_from_linked(linked: dict, periods, year, t0=None) -> ReturnLevelCurve
 
 
 def return_level_draws(result: SmoothResult, site: int, period: float,
-                       year: float | None = None, t0: float | None = None) -> np.ndarray:
+                       year: float | None = None) -> np.ndarray:
     """Per-draw T-year levels at a gauged site, one value per posterior draw."""
     period = float(_check_periods(period)[0])
     linked = _site_linked_draws(result, site)
-    mu_t, sigma, xi = _natural_draws(linked, year, t0)
+    mu_t, sigma, xi = _natural_draws(linked, year, result.t0)
     return quantile(1.0 - 1.0 / period, mu_t, sigma, xi)
 
 
 def return_level(result: SmoothResult, site: int, periods,
-                 year: float | None = None, t0: float | None = None) -> ReturnLevelCurve:
+                 year: float | None = None) -> ReturnLevelCurve:
     """Posterior summary of return levels at a gauged site."""
-    return _curve_from_linked(_site_linked_draws(result, site), periods, year, t0)
+    return _curve_from_linked(_site_linked_draws(result, site), periods, year, result.t0)
 
 
 # ----------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def _event_at(result: SmoothResult, values: dict, coeffs: dict, period: float) -
         linked[pm.name] = float(x @ coeffs[pm.name])
     lp = {k: np.asarray(v) for k, v in linked.items()}
     lp.pop("gamma", None)  # the event is evaluated at the anchor year
-    mu_t, sigma, xi = _natural_draws(lp, year=None)
+    mu_t, sigma, xi = _natural_draws(lp, None, result.t0)
     return float(quantile(1.0 - 1.0 / period, mu_t, sigma, xi))
 
 
@@ -202,7 +203,6 @@ def predict_ungauged(result: SmoothResult, site: UngaugedSite,
     a_row = None
     if any(pm.spatial for pm in structure.params):
         a_row = projector(structure.mesh, np.atleast_2d(site.coords))
-    theta = result.theta_used
     out = {}
     for pm in structure.params:
         if pm.name not in site.design_rows:
@@ -218,17 +218,16 @@ def predict_ungauged(result: SmoothResult, site: UngaugedSite,
             draws = draws + result.nu_block(pm.name, "u") @ a_row[0]
         if include_nugget:
             k = structure.theta_names.index(f"eps_{pm.name}")
-            draws = draws + theta[:, k] * rng.standard_normal(draws.shape[0])
+            draws = draws + result.theta_draws[:, k] * rng.standard_normal(draws.shape[0])
         out[pm.name] = draws
     return out
 
 
 def ungauged_return_level(result: SmoothResult, site: UngaugedSite, periods,
                           rng: np.random.Generator, year: float | None = None,
-                          t0: float | None = None,
                           include_nugget: bool = True) -> ReturnLevelCurve:
     linked = predict_ungauged(result, site, rng, include_nugget=include_nugget)
-    return _curve_from_linked(linked, periods, year, t0)
+    return _curve_from_linked(linked, periods, year, result.t0)
 
 
 # ----------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def ungauged_return_level(result: SmoothResult, site: UngaugedSite, periods,
 
 def posterior_predictive(result: SmoothResult, site: int | UngaugedSite,
                          rng: np.random.Generator, year: float | None = None,
-                         n_per_draw: int = 8, t0: float | None = None) -> np.ndarray:
+                         n_per_draw: int = 8) -> np.ndarray:
     """GEV samples from the predictive distribution at one site and year.
 
     Returns n_draws * n_per_draw values; gauged sites use their latent
@@ -248,13 +247,13 @@ def posterior_predictive(result: SmoothResult, site: int | UngaugedSite,
         linked = predict_ungauged(result, site, rng)
     else:
         linked = _site_linked_draws(result, site)
-    mu_t, sigma, xi = _natural_draws(linked, year, t0)
+    mu_t, sigma, xi = _natural_draws(linked, year, result.t0)
     u = rng.uniform(size=(n_per_draw, mu_t.shape[0]))
     return quantile(u, mu_t, sigma, xi).ravel()
 
 
 def order_stat_band(n: int, p: GevParams, level: float = 0.95,
-                    year: float | None = None, t0: float | None = None) -> np.ndarray:
+                    year: float | None = None, t0: float = LINK.t0) -> np.ndarray:
     """Per-rank (k = 1..n) central intervals of the order statistics.
 
     The k-th order statistic of n iid draws has CDF value distributed
@@ -271,10 +270,9 @@ def order_stat_band(n: int, p: GevParams, level: float = 0.95,
                             for q in (alpha, 1.0 - alpha)])
 
 
-def detrend_observations(y, years, delta: float, t0: float | None = None) -> np.ndarray:
+def detrend_observations(y, years, delta: float, t0: float = LINK.t0) -> np.ndarray:
     """Remove a fitted linear location trend: y / (1 + delta * (year - t0))."""
-    anchor = LINK.t0 if t0 is None else t0
-    factor = 1.0 + delta * (np.asarray(years, dtype=float) - anchor)
+    factor = 1.0 + delta * (np.asarray(years, dtype=float) - t0)
     if np.any(factor <= 0.0):
         raise DataError("trend factor nonpositive inside the record")
     return np.asarray(y, dtype=float) / factor

@@ -67,6 +67,8 @@ class SelectionConfig:
             raise ConfigError("selection thresholds must be in [0, 1)")
         if self.grid_size < 2:
             raise ConfigError("grid_size must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("seed must not be negative")
 
 
 @dataclass
@@ -275,7 +277,6 @@ def forward_select(obs: UnivariateObs, covariates: dict,
 def select_all(stacked: StackedFits, covariates: dict,
                mesh: Mesh | None = None, sites: np.ndarray | None = None,
                config: SelectionConfig | None = None,
-               parameters: tuple | None = None,
                priors: Priors | None = None) -> dict:
     """Run forward selection for each transformed parameter.
 
@@ -284,8 +285,7 @@ def select_all(stacked: StackedFits, covariates: dict,
     restrict the process's CPU affinity (taskset -c 0) to run them serially.
     """
     obs_by_param = diagonalize(stacked)
-    if parameters is None:
-        parameters = tuple(PARAM_NAMES[: stacked.n_params])
+    parameters = list(obs_by_param)
     if mesh is not None:
         # every spatial candidate reads these; fill them once, before the fork
         _ = mesh.field_spectrum, mesh.precision_terms

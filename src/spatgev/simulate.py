@@ -48,12 +48,24 @@ class Scenario:
     record_length_range: tuple = (30, 80)
 
     def __post_init__(self):
-        if len(self.beta_psi) != self.n_covariates + 1:
-            raise ConfigError("beta_psi must have one intercept plus one "
-                              "coefficient per covariate")
-        if len(self.beta_tau) != self.n_covariates + 1:
-            raise ConfigError("beta_tau must have one intercept plus one "
-                              "coefficient per covariate")
+        bounds = self.record_length_range
+        for ok, message in (
+            (self.n_covariates >= 0, "n_covariates must not be negative"),
+            (len(self.beta_psi) == len(self.beta_tau) == self.n_covariates + 1,
+             "beta_psi and beta_tau must have one intercept plus one coefficient "
+             "per covariate"),
+            (self.domain_size > 0 and self.range_fraction > 0,
+             "domain_size and range_fraction must be positive"),
+            (gev.XI_LO < self.xi_center < gev.XI_HI,
+             f"xi_center must lie inside ({gev.XI_LO}, {gev.XI_HI})"),
+            (self.record_length is None or self.record_length >= 1,
+             "record_length must be at least 1"),
+            (len(bounds) == 2 and all(float(b).is_integer() for b in bounds)
+             and 1 <= bounds[0] <= bounds[1],
+             "record_length_range must be two whole numbers 1 <= shortest <= longest"),
+        ):
+            if not ok:
+                raise ConfigError(message)
 
 
 def paper_like_scenario(trend: bool = False) -> Scenario:

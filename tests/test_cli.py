@@ -23,6 +23,8 @@ import spatgev.cli
 import spatgev.evaluate
 import spatgev.spde
 from spatgev.cli import RunConfig, main
+from spatgev.gev import LINK
+from spatgev.predict import UngaugedSite, return_level, ungauged_return_level
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -283,11 +285,12 @@ class TestFitDirectory:
         assert np.array_equal(result.structure.prec_blocks, built.prec_blocks)
 
     def test_draws_read_back_bit_for_bit(self, pipeline):
-        result, computed = self._load(pipeline), pipeline["result"]
-        for name in ("eta_draws", "nu_draws"):
+        (_, computed), result = pipeline["result"], self._load(pipeline)
+        for name in ("theta_draws", "eta_draws", "nu_draws"):
             stored, fitted = getattr(result, name), getattr(computed, name)
             assert stored.dtype == fitted.dtype and stored.shape == fitted.shape
             assert stored.tobytes() == fitted.tobytes(), name
+        assert result.t0 == computed.t0 == LINK.t0
 
     def test_tampered_value_refused(self, pipeline, tmp_path, capsys):
         fit = self._copy_fit(pipeline, tmp_path)
@@ -537,6 +540,91 @@ class TestReturnLevels:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def trend_fit(pipeline):
+    """A trend model anchored at 1990 on data simulated with a trend, and
+    the posterior its fit computed."""
+    root = pipeline["root"]
+    sim_cfg = root / "trend_sim.json"
+    sim_cfg.write_text(json.dumps({"seed": 3, "scenario": {**CONFIG["scenario"],
+                                                           "trend": True}}))
+    sim = str(root / "trend_sim")
+    assert main(["simulate", "--config", str(sim_cfg), "--out", sim]) == 0
+    data = ["--maxima", os.path.join(sim, "maxima.csv"),
+            "--sites", os.path.join(sim, "sites.csv")]
+    fitted = {**CONFIG, "trend": True, "mcmc": {"n_chains": 1, "n_iterations": 60,
+                                                 "n_kept": 20}}
+    cfg = root / "trend_fit.json"
+    cfg.write_text(json.dumps({**fitted, "t0": 1990}))
+    fit = str(root / "trend_fit")
+    kept = []
+    with pytest.MonkeyPatch.context() as mp:
+        def keep(*args, _fn=spatgev.cli.smooth_step, **kwargs):
+            theta, result = _fn(*args, **kwargs)
+            kept.append(result)
+            return theta, result
+
+        mp.setattr(spatgev.cli, "smooth_step", keep)
+        assert main(["fit", "--config", str(cfg), *data, "--out", fit]) == 0
+    # the queries' config omits t0 and asks for a year away from the anchor
+    query_cfg = root / "trend_query.json"
+    query_cfg.write_text(json.dumps({**fitted, "predict": {"year": 2010.0}}))
+    return {"fit": fit, "data": data, "cfg": str(query_cfg), "result": kept[0]}
+
+
+def _level_columns(path):
+    """{station: (mean, lower, upper) columns} of a levels table."""
+    with open(path) as fh:
+        next(fh)
+        rows = [line.rstrip().split(",") for line in fh]
+    out = {}
+    for st, _, year, *values in rows:
+        assert float(year) == 2010.0
+        out.setdefault(st, []).append([float(v) for v in values])
+    return {st: np.array(v).T for st, v in out.items()}
+
+
+class TestTrendAnchor:
+    """Queries anchor the trend at the fit's t0, not at the config's default."""
+
+    @staticmethod
+    def _curves(curve):
+        return np.array([curve.mean, curve.lower, curve.upper])
+
+    def test_predict_uses_fitted_anchor(self, trend_fit, tmp_path):
+        out = str(tmp_path / "p")
+        assert main(["predict", "--config", trend_fit["cfg"], *trend_fit["data"],
+                     "--fit", trend_fit["fit"], "--out", out]) == 0
+        levels = _level_columns(os.path.join(out, "return_levels.csv"))
+        result = trend_fit["result"]
+        assert result.t0 == 1990.0
+        at_link_t0 = dataclasses.replace(result, t0=LINK.t0)
+        assert len(levels) == result.structure.n_sites
+        for i, st in enumerate(levels):  # the stations in the data's order
+            periods = CONFIG["return_periods"]
+            expected = self._curves(return_level(result, i, periods, year=2010.0))
+            assert np.array_equal(levels[st], expected), st
+            other = self._curves(return_level(at_link_t0, i, periods, year=2010.0))
+            assert not np.allclose(levels[st], other, rtol=1e-9), st
+
+    def test_return_levels_use_fitted_anchor(self, trend_fit, tmp_path):
+        out = str(tmp_path / "r")
+        assert main(["return-levels", "--config", trend_fit["cfg"], *trend_fit["data"],
+                     "--fit", trend_fit["fit"], "--targets", _targets(tmp_path),
+                     "--out", out]) == 0
+        levels = _level_columns(os.path.join(out, "ungauged_levels.csv"))["t001"]
+        row = np.array([1.0, 0.5])  # the target's c1, as the model's design takes it
+        site = UngaugedSite(coords=np.array([50.0, 50.0]),
+                            design_rows={"psi": row, "tau": row, "phi": np.ones(1),
+                                         "gamma": np.ones(1)})
+        result = trend_fit["result"]
+        curves = [self._curves(ungauged_return_level(
+            posterior, site, CONFIG["return_periods"], np.random.default_rng(CONFIG["seed"]),
+            year=2010.0)) for posterior in (result, dataclasses.replace(result, t0=LINK.t0))]
+        assert np.array_equal(levels, curves[0])
+        assert not np.allclose(levels, curves[1], rtol=1e-9)
+
+
 class TestCv:
     def test_tables_and_determinism(self, pipeline):
         a = str(pipeline["root"] / "cv_a")
@@ -730,7 +818,8 @@ class TestErrorSurface:
 
         for module in (spatgev.cli, spatgev.evaluate):
             monkeypatch.setattr(module, "fit_all_sites", no_work)
-        monkeypatch.setattr(spatgev.cli, "_load_fit", no_work)
+        for name in ("_load_fit", "simulate_dataset"):
+            monkeypatch.setattr(spatgev.cli, name, no_work)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))
         data = [] if command == "simulate" else pipeline["data"]
@@ -771,6 +860,33 @@ class TestErrorSurface:
         ((section, values),) = config.items()
         ((name, _),) = values.items()
         assert repr(section) in message and name in message
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("simulate", {"seed": -1}, "seed"),
+        ("fit", {"seed": -1}, "seed"),
+        ("fit", {"mcmc": {"seed": -1}}, "mcmc.seed"),
+        ("select", {"selection": {"seed": -1}}, "selection.seed"),
+        ("cv", {"cv": {"seed": -1}}, "cv.seed"),
+        ("cv", {"mcmc": {"seed": -1}}, "mcmc.seed"),
+        ("simulate", {"scenario": {"record_length": None, "record_length_range": [80, 30]}},
+         "scenario.record_length_range"),
+        ("simulate", {"scenario": {"record_length": None, "record_length_range": [30]}},
+         "scenario.record_length_range"),
+        ("simulate", {"scenario": {"domain_size": -5}}, "scenario.domain_size"),
+        ("simulate", {"scenario": {"record_length": -3}}, "scenario.record_length"),
+        ("simulate", {"scenario": {"record_length": 0}}, "scenario.record_length"),
+        ("simulate", {"scenario": {"range_fraction": 0}}, "scenario.range_fraction"),
+        ("simulate", {"scenario": {"xi_center": 0.7}}, "scenario.xi_center"),
+        ("simulate", {"scenario": {"n_covariates": -1, "beta_psi": [], "beta_tau": []}},
+         "scenario.n_covariates"),
+    ])
+    def test_seed_or_scenario_out_of_range_refused_before_work(
+            self, pipeline, tmp_path, capsys, monkeypatch, command, config, key):
+        # each of these once reached the work, and ended in a traceback or
+        # wrote stations without maxima
+        message = self._refusal(pipeline, tmp_path, capsys, monkeypatch, command, config)
+        section, _, name = key.rpartition(".")
+        assert repr(section or name) in message and name in message
 
     @pytest.mark.parametrize("config, named", _config_surface())
     def test_config_surface_refused_before_work(self, pipeline, tmp_path, capsys,

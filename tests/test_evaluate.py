@@ -34,6 +34,7 @@ from spatgev.evaluate import (
     se_of_mean_diff,
 )
 from spatgev.gev import (
+    LINK,
     GevParams,
     LinkedParams,
     gev_log_pdf,
@@ -414,7 +415,7 @@ def _per_cell_tables(ds, plan, cv, mcmc, seed, mesh):
         spec = LGM_VARIANTS[name]
         stacked = fit_all_sites(train_ds.records, trend=spec.trend,
                                 station_ids=train_ds.station_ids)
-        result = evaluate._fit_lgm(ds, spec, plan, names, mcmc, mesh, stacked)
+        result = evaluate._fit_lgm(ds, spec, plan, names, mcmc, mesh, stacked, LINK.t0)
         total = cv.n_samples_trend if spec.trend else cv.n_samples
         n_per = max(1, round(total / result.n_draws))
         for mode in ("within", "out"):
@@ -425,7 +426,7 @@ def _per_cell_tables(ds, plan, cv, mcmc, seed, mesh):
                     target = (train_pos[s] if mode == "within" else
                               evaluate._ungauged_for(ds, spec, s, names))
                     cache[key] = posterior_predictive(result, target, rng, year=key[1],
-                                                      n_per_draw=n_per, t0=None)
+                                                      n_per_draw=n_per)
                 out.append(evaluate._bits_from_density(kde_density(cache[key], v)))
             bits[mode][name] = np.array(out)
     max_year = max(float(np.max(r[0])) for r in train_ds.records)

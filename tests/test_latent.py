@@ -410,9 +410,9 @@ class TestConditionalSampling:
             eta_k, nu_k = sample_latent(st, theta[k], row_rng)
             assert np.array_equal(eta[k], eta_k[0])
             assert np.array_equal(nu[k], nu_k[0])
-        eta_head, _ = sample_latent(st, theta, np.random.default_rng(5), max_draws=2)
+        eta_head, _ = sample_latent(st, theta[:2], np.random.default_rng(5))
         assert np.array_equal(eta_head, eta[:2])
-        empty_eta, empty_nu = sample_latent(st, theta, np.random.default_rng(5), max_draws=0)
+        empty_eta, empty_nu = sample_latent(st, theta[:0], np.random.default_rng(5))
         assert empty_eta.shape == (0, eta.shape[1]) and empty_nu.shape == (0, nu.shape[1])
 
 
@@ -460,7 +460,6 @@ class TestMcmc:
         cfg = McmcConfig(n_chains=2, n_iterations=2000, n_kept=500, seed=12)
         out = run_mcmc(st, cfg)
         assert out.draws.shape == (1000, 3)
-        assert out.by_chain.shape == (2, 500, 3)
         assert out.rhat.shape == (3,) and out.ess.shape == (3,)
         assert out.status in ("ok", "warn")
         assert np.all(out.accept_rate > 0.05) and np.all(out.accept_rate < 0.6)
@@ -496,7 +495,7 @@ class TestMcmc:
             runs.append(run_mcmc(st, cfg))
             assert multiprocessing.active_children() == []
         parallel, serial = runs
-        for key in ("draws", "by_chain", "rhat", "ess", "accept_rate"):
+        for key in ("draws", "rhat", "ess", "accept_rate"):
             assert np.array_equal(getattr(parallel, key), getattr(serial, key)), key
         assert (parallel.status, parallel.warnings) == (serial.status, serial.warnings)
 
@@ -548,11 +547,12 @@ class TestSmoothStep:
         X = np.column_stack([np.ones(8), rng.standard_normal(8)])
         st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True}, sites=sites)
         cfg = McmcConfig(n_chains=2, n_iterations=300, n_kept=50, seed=5)
-        res = smooth_step(st, cfg, max_latent_draws=40)
-        assert res.theta.draws.shape == (100, st.n_theta)
-        assert res.eta_draws.shape == (40, 24)
-        assert res.nu_draws.shape == (40, st.n_nu)
+        theta, res = smooth_step(st, cfg, t0=1990.0)
+        assert theta.draws.shape == (100, st.n_theta)
+        assert res.theta_draws is theta.draws and res.t0 == 1990.0
+        assert res.eta_draws.shape == (100, 24)
+        assert res.nu_draws.shape == (100, st.n_nu)
         psi = res.eta_by_param("psi")
-        assert psi.shape == (40, 8)
+        assert psi.shape == (100, 8)
         beta = res.nu_block("psi", "beta")
-        assert beta.shape == (40, 2)
+        assert beta.shape == (100, 2)

@@ -5,18 +5,19 @@ A degenerate posterior (every draw identical) turns most operations into
 closed forms; an honest small smoothing run checks the stochastic paths.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from spatgev.errors import ConfigError, DataError
-from spatgev.gev import GevParams, gev_quantile, gev_sample
+from spatgev.gev import LINK, GevParams, gev_quantile, gev_sample
 from spatgev.latent import (
     LatentStructure,
     McmcConfig,
     ParamModel,
     SmoothResult,
-    ThetaSamples,
     build_structure,
     smooth_step,
 )
@@ -64,17 +65,12 @@ def _degenerate_result(beta_by_param, designs, names_by_param=None, eps=0.25,
         eps0=1.0,
     )
     nu = np.concatenate(nu)
-    theta = np.full((n_draws, q), eps)
-    samples = ThetaSamples(
-        draws=theta, names=list(structure.theta_names),
-        rhat=np.ones(q), ess=np.full(q, n_draws), accept_rate=np.array([0.3]),
-        status="ok", warnings=[], by_chain=theta[None],
-    )
     return SmoothResult(
         structure=structure,
-        theta=samples,
+        theta_draws=np.full((n_draws, q), eps),
         eta_draws=np.tile(np.concatenate(eta_rows), (n_draws, 1)),
         nu_draws=np.tile(nu, (n_draws, 1)),
+        t0=LINK.t0,
     )
 
 
@@ -108,7 +104,7 @@ def honest_result():
         covariate_names={"psi": tuple(ds.covariate_names)},
     )
     config = McmcConfig(n_chains=2, n_iterations=1500, n_kept=300, seed=3)
-    return smooth_step(structure, config), ds, sim.truth
+    return smooth_step(structure, config)[1], ds, sim.truth
 
 
 class TestReturnLevel:
@@ -154,6 +150,17 @@ class TestReturnLevel:
         q1 = return_level(res, 0, 100.0, year=1985.0).mean[0]
         q0 = return_level(res, 0, 100.0, year=1975.0).mean[0]
         assert_allclose(q1 - q0, 2.0 * delta * 10.0, rtol=1e-9)
+
+    def test_trend_anchored_at_the_posterior_t0(self):
+        # the same draws anchored 15 years later give the same levels 15 years later
+        res = _simple_result(trend=True)
+        later = dataclasses.replace(res, t0=1990.0)
+        for year in (None, 1985.0):
+            shifted = None if year is None else year + 15.0
+            assert np.array_equal(return_level(later, 0, 100.0, year=shifted).mean,
+                                  return_level(res, 0, 100.0, year=year).mean)
+        assert return_level(later, 0, 100.0, year=2000.0).mean[0] < \
+            return_level(res, 0, 100.0, year=2000.0).mean[0]
 
     def test_errors(self):
         res = _simple_result()
@@ -223,7 +230,7 @@ class TestUngauged:
         a = res.structure.A[site]
         reg = beta @ X[site] + u @ a
         k = res.structure.theta_names.index("eps_psi")
-        eps2 = res.theta_used[:, k] ** 2
+        eps2 = res.theta_draws[:, k] ** 2
         n = reg.size
         se_mean = np.sqrt((reg.var() + eps2.mean()) / n)
         assert abs(pred["psi"].mean() - reg.mean()) < 4.0 * se_mean
