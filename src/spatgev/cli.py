@@ -41,7 +41,13 @@ scipy module; the sampler's report (theta_summary.csv, and model.json's
 acceptance, status and warnings) is for the reader.  Every one of these files
 must match its sha256 in manifest.json; a missing manifest, file or entry, or
 a mismatch, is refused with a data error, and so is a mesh whose leading
-nodes are not the input's site coordinates.
+nodes are not the input's site coordinates.  A query's t0, when given, must
+be the fit's anchor year.  return-levels also reads the targets table
+(station, x, y and descriptors).  It transforms the descriptors with
+model.json's transform when fit transformed its own, and passes each target's
+values by name to the fitted structure, whose parameters build their own
+design rows (latent.ParamModel.design_row); a covariate the model takes that
+the targets lack exits 2 naming it.
 
 Where the work runs: fit, fit-sites, select and cv fit the stations of the
 max step, run the MCMC chains and select covariates per link parameter in
@@ -262,7 +268,9 @@ def _build(cls, values, path: str):
     """
     if not isinstance(values, dict):
         raise ConfigError(f"config key {path!r} must be an object, got {values!r}")
-    hints = typing.get_type_hints(cls)
+    # this module's classes resolve in its own namespace, which is not
+    # sys.modules["__main__"] when runpy runs it without alter_sys
+    hints = typing.get_type_hints(cls, globals() if cls.__module__ == __name__ else None)
     declared = {f.name for f in fields(cls) if f.init}
     keys = {name: f"{path}.{name}" if path else name for name in values}
     unknown = sorted(key for name, key in keys.items() if name not in declared)
@@ -561,13 +569,12 @@ def cmd_fit(args, cfg: RunConfig) -> int:
         write_npy_atomic(path, draws)
         outputs.append((name, path))
 
-    params = [pm.name for pm in structure.params]
     path = _out_path(args, "latent_summary.csv")
     rows = []
-    for q, pm in enumerate(params):
-        block = result.eta_draws[:, q * ds.n_sites:(q + 1) * ds.n_sites]
+    for pm in structure.params:
+        block = result.eta_by_param(pm.name)
         for i, st in enumerate(ds.station_ids):
-            rows.append([st, pm, _fmt(block[:, i].mean()),
+            rows.append([st, pm.name, _fmt(block[:, i].mean()),
                          _fmt(block[:, i].std(ddof=1))])
     write_csv_atomic(path, ["station", "parameter", "mean", "sd"], rows)
     outputs.append(("latent_summary.csv", path))
@@ -659,7 +666,8 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
     and nu_draws.npy, read whole without pickles or a memory map, which must
     be 2-D float64 arrays with one row per theta draw (a directory with the
     older CSV draws is refused as missing them).  The trend anchor: t0 of
-    model.json.  The sampler's report (theta_summary.csv, and the
+    model.json, or the link's t0 where it is null; a config that gives t0
+    must give that year.  The sampler's report (theta_summary.csv, and the
     acceptance and status of model.json) is checked but not read.  The
     input data still supplies station coordinates, covariates and records.
     """
@@ -670,7 +678,7 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
     ds, _ = _load_inputs(cfg, args)
     if list(ds.station_ids) != model["station_ids"]:
         raise DataError("station set does not match the fitted model")
-    for key in ("covariates", "tau_covariates", "spatial", "trend", "t0"):
+    for key in ("covariates", "tau_covariates", "spatial", "trend"):
         if key in cfg.raw and cfg.raw[key] != model[key]:
             raise ConfigError(f"config {key!r}={cfg.raw[key]!r} disagrees with "
                               f"the fitted model ({model[key]!r})")
@@ -680,6 +688,9 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
                      tau_covariates=model["tau_covariates"],
                      spatial=_build(SpatialConfig, model["spatial"], "spatial"),
                      priors=_build(Priors, model["priors"], "priors"), t0=model["t0"])
+    if "t0" in cfg.raw and cfg.anchor != fitted.anchor:
+        raise ConfigError(f"config 't0'={cfg.raw['t0']!r} disagrees with the fitted "
+                          f"model's trend anchor ({fitted.anchor!r})")
     structure = _structure_from(fitted, ds, _read_max_step(fit_dir, model),
                                 _read_mesh(fit_dir, model, ds))
 
@@ -746,30 +757,15 @@ def cmd_return_levels(args, cfg: RunConfig) -> int:
     else:
         check_finite(dnames, raw)
         covs = raw
-    col_of = {nm: j for j, nm in enumerate(dnames)}
-
-    def design_row(names_list, k):
-        row = [1.0]
-        for nm in names_list:
-            if nm not in col_of:
-                raise ConfigError(f"targets file lacks covariate {nm!r}")
-            row.append(covs[k, col_of[nm]])
-        return np.asarray(row)
-
     opts = cfg.predict
     periods = _periods_from(cfg)
     rng = np.random.default_rng(cfg.seed)
 
     curves = []
     for k, st in enumerate(ids):
-        design_rows = {"psi": design_row(model["covariates"], k),
-                       "tau": design_row(model["tau_covariates"], k),
-                       "phi": np.array([1.0])}
-        if model["trend"]:
-            design_rows["gamma"] = np.array([1.0])
         site = UngaugedSite(
             coords=np.array([values[k, lower.index("x")], values[k, lower.index("y")]]),
-            design_rows=design_rows,
+            covariates=dict(zip(dnames, covs[k])),
         )
         curves.append((st, ungauged_return_level(result, site, periods, rng, year=opts.year,
                                                   include_nugget=opts.include_nugget)))

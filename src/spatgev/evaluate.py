@@ -450,18 +450,6 @@ def _fit_lgm(dataset: MaximaDataset, spec: ModelSpec, plan: CvPlan,
     return smooth_step(structure, mcmc, t0=t0)[1]
 
 
-def _ungauged_for(dataset: MaximaDataset, spec: ModelSpec, site: int,
-                  covariate_names: list) -> UngaugedSite:
-    if spec.covariates and covariate_names:
-        row = dataset.design_matrix(covariate_names)[site]
-    else:
-        row = np.ones(1)
-    rows = {"psi": row, "tau": row, "phi": np.ones(1)}
-    if spec.trend:
-        rows["gamma"] = np.ones(1)
-    return UngaugedSite(coords=dataset.sites[site], design_rows=rows)
-
-
 def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
            covariate_names: list | None = None,
            mcmc: McmcConfig | None = None,
@@ -501,6 +489,9 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
     within_cells = _test_observations(dataset, plan.train_sites, plan.test_years)
     out_cells = _test_observations(dataset, plan.heldout_sites, plan.test_years)
     train_pos = {int(s): k for k, s in enumerate(plan.train_sites)}
+    # a held-out site passes its covariates by name to the LGM variants' design rows
+    covariates = (np.zeros((dataset.n_sites, 0)) if dataset.covariates is None
+                  else dataset.covariates)
 
     within_bits: dict = {}
     out_bits: dict = {}
@@ -556,8 +547,8 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
                     values = np.array([v for _, _, v in cells], dtype=float)
                     bits = np.empty(len(cells))
                     for (s, yr), ks in groups.items():
-                        target = (train_pos[s] if gauged else
-                                  _ungauged_for(dataset, spec, s, covariate_names))
+                        target = train_pos[s] if gauged else UngaugedSite(
+                            dataset.sites[s], dict(zip(dataset.covariate_names, covariates[s])))
                         samples = posterior_predictive(result, target, rng, year=yr,
                                                        n_per_draw=n_per)
                         bits[ks] = _bits_from_density(kde_density(samples, values[ks]))

@@ -46,7 +46,7 @@ from ._sparse import ArrowFactor, ArrowLayout, arrow_layout
 from ._workers import run_indexed
 from .errors import ConfigError, NumericalError
 from .gev import LINK
-from .site_fit import StackedFits
+from .site_fit import PARAM_NAMES, StackedFits
 from .spde import (
     Mesh,
     nugget_prior_logdensity,
@@ -75,19 +75,38 @@ __all__ = [
 ]
 
 SIGMA_BETA = 10.0
-PARAM_LABELS = ("psi", "tau", "phi", "gamma")
 TARGET_ACCEPT = 0.234  # the adaptive walk's acceptance rate during burn-in
 RHAT_WARN = 1.05  # a split-Rhat above this sets the "warn" status
 
 
 @dataclass
 class ParamModel:
-    """Latent-level description for one link parameter."""
+    """Latent-level description for one link parameter.
+
+    The design's columns are the intercept, then one per covariate name, in
+    order; design_row builds the same row at a location outside the data.
+    """
 
     name: str
     design: np.ndarray  # (J, p_l), first column the intercept
     spatial: bool = False
     covariate_names: tuple = ()  # names for design columns after the intercept
+
+    def design_row(self, values: dict) -> np.ndarray:
+        """The design row at a new location: 1, then values[name] per covariate name.
+
+        values maps covariate names to values transformed as the design's
+        columns were.  Raises ConfigError naming the covariates that values
+        lacks, or when the names do not label every covariate column.
+        """
+        if len(self.covariate_names) != self.design.shape[1] - 1:
+            raise ConfigError(f"the design of {self.name!r} has {self.design.shape[1] - 1} "
+                              f"covariate columns but {len(self.covariate_names)} names")
+        missing = [nm for nm in self.covariate_names if nm not in values]
+        if missing:
+            raise ConfigError(f"no value given for covariates {missing}, which the "
+                              f"design of {self.name!r} takes")
+        return np.array([1.0, *(values[nm] for nm in self.covariate_names)], dtype=float)
 
 
 @dataclass
@@ -206,7 +225,9 @@ class LatentStructure:
 
         Q_nu's data is linear in the coefficients of q_nu_coefficients: the
         beta diagonals take coefficient 0, and field f takes 1 + 3f, 2 + 3f
-        and 3 + 3f as weights of its mesh's C, G and G C^-1 G.
+        and 3 + 3f as weights of its mesh's C, G and G C^-1 G
+        (Mesh.precision_terms), one entry per stored value of each term, so
+        a position that several terms share repeats.
         """
         rows, cols, coef, vals = [], [], [], []
         n_fields = 0
@@ -218,15 +239,13 @@ class LatentStructure:
             coef.append(np.zeros(idx.size, dtype=int))
             vals.append(np.ones(idx.size))
             if pm.spatial:
-                pattern, terms = self.mesh.precision_terms
                 start = self.nu_slices[pm.name]["u"].start
-                r = pattern.indices + start
-                c = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr)) + start
-                for t in range(3):
-                    rows.append(r)
-                    cols.append(c)
-                    coef.append(np.full(r.size, 1 + 3 * n_fields + t))
-                    vals.append(terms[t])
+                for t, term in enumerate(self.mesh.precision_terms):
+                    term = term.tocoo()
+                    rows.append(term.row + start)
+                    cols.append(term.col + start)
+                    coef.append(np.full(term.nnz, 1 + 3 * n_fields + t))
+                    vals.append(term.data)
                 n_fields += 1
         return tuple(np.concatenate(x) for x in (rows, cols, coef, vals)) + (1 + 3 * n_fields,)
 
@@ -353,7 +372,7 @@ def build_structure(stacked: StackedFits, designs: dict[str, np.ndarray],
     non-intercept design columns.
     """
     q = stacked.n_params
-    labels = PARAM_LABELS[:q]
+    labels = PARAM_NAMES[:q]
     J = stacked.n_sites
     need_mesh = any(spatial.get(name, False) for name in labels)
     A = None

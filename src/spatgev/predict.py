@@ -6,7 +6,9 @@ All operations on a posterior are pure transforms of its draws
 levels are per-draw GEV quantiles at probability 1 - 1/T summarized by the
 posterior mean and a central 95% interval; ungauged sites receive fresh
 regression-plus-field predictions with a newly drawn nugget per posterior
-draw.
+draw.  An ungauged site carries its covariate values by name, and each link
+parameter's latent.ParamModel.design_row builds its design row from them, so
+the model alone decides which covariates each parameter takes.
 """
 
 from __future__ import annotations
@@ -120,11 +122,8 @@ def _posterior_mean_coeffs(result: SmoothResult) -> dict:
 
 def _event_at(result: SmoothResult, values: dict, coeffs: dict, period: float) -> float:
     """T-year event with regression terms only: nugget and field zeroed."""
-    linked = {}
-    for pm in result.structure.params:
-        x = np.concatenate(([1.0], [values[nm] for nm in pm.covariate_names]))
-        linked[pm.name] = float(x @ coeffs[pm.name])
-    lp = {k: np.asarray(v) for k, v in linked.items()}
+    lp = {pm.name: np.asarray(float(pm.design_row(values) @ coeffs[pm.name]))
+          for pm in result.structure.params}
     lp.pop("gamma", None)  # the event is evaluated at the anchor year
     mu_t, sigma, xi = _natural_draws(lp, None, result.t0)
     return float(quantile(1.0 - 1.0 / period, mu_t, sigma, xi))
@@ -181,14 +180,15 @@ def effect_table(result: SmoothResult, covariate_values: dict,
 
 @dataclass
 class UngaugedSite:
-    """Coordinates plus a transformed covariate row per link parameter.
+    """Coordinates plus covariate values by name.
 
-    design_rows maps parameter name -> full design row (leading 1 for the
-    intercept) built with the training standardization statistics.
+    covariates maps covariate name -> value, transformed with the training
+    sites' statistics as the fitted design's columns were.  Each link
+    parameter takes the names it was fitted with; other names are ignored.
     """
 
     coords: np.ndarray
-    design_rows: dict = field(default_factory=dict)
+    covariates: dict = field(default_factory=dict)
 
 
 def predict_ungauged(result: SmoothResult, site: UngaugedSite,
@@ -197,7 +197,9 @@ def predict_ungauged(result: SmoothResult, site: UngaugedSite,
     """Per-draw linked parameters at an unobserved location.
 
     Each posterior draw contributes x'beta + a'u plus one fresh nugget draw
-    with that draw's nugget scale.  Coordinates outside the mesh raise.
+    with that draw's nugget scale, where x is the parameter's design row at
+    the site's covariates (latent.ParamModel.design_row; a covariate the
+    site lacks is a ConfigError).  Coordinates outside the mesh raise.
     """
     structure = result.structure
     a_row = None
@@ -205,15 +207,7 @@ def predict_ungauged(result: SmoothResult, site: UngaugedSite,
         a_row = projector(structure.mesh, np.atleast_2d(site.coords))
     out = {}
     for pm in structure.params:
-        if pm.name not in site.design_rows:
-            raise ConfigError(f"missing design row for parameter {pm.name!r}")
-        x = np.asarray(site.design_rows[pm.name], dtype=float)
-        if x.shape != (pm.design.shape[1],):
-            raise ConfigError(
-                f"design row for {pm.name!r} has length {x.size}, "
-                f"expected {pm.design.shape[1]}"
-            )
-        draws = result.nu_block(pm.name, "beta") @ x
+        draws = result.nu_block(pm.name, "beta") @ pm.design_row(site.covariates)
         if pm.spatial:
             draws = draws + result.nu_block(pm.name, "u") @ a_row[0]
         if include_nugget:

@@ -200,11 +200,6 @@ class SelectionResult:
     score_no_spatial: float | None
     folds: list
 
-    def summary(self) -> str:
-        steps = " -> ".join(["1"] + [r.added for r in self.path[1:]])
-        return (f"{self.parameter}: {steps}; chosen {list(self.chosen) or '[1]'}"
-                f" spatial={self.spatial} score={self.score:.4f}")
-
 
 def _design(covariates: dict, names: tuple, n_sites: int) -> np.ndarray:
     cols = [np.ones(n_sites)] + [np.asarray(covariates[nm], dtype=float) for nm in names]

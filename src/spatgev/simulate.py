@@ -21,6 +21,12 @@ from .spde import Mesh, build_mesh, fem_matrices, precision_matrix, sample_field
 
 __all__ = ["Scenario", "SimTruth", "SimulatedData", "simulate_dataset", "paper_like_scenario"]
 
+# The most sites _draw_sites is asked to place.  At its separation of 0.02
+# domain_size, on one core of a 2-vCPU x86-64 Xeon, 1,500 sites were placed
+# on each of seeds 0-2 in about 1.0 s, while 1,700 ran out of candidates on
+# two of the three after about 18 s.
+MAX_SITES = 1500
+
 
 @dataclass
 class Scenario:
@@ -50,6 +56,7 @@ class Scenario:
     def __post_init__(self):
         bounds = self.record_length_range
         for ok, message in (
+            (self.n_sites <= MAX_SITES, f"n_sites must not exceed {MAX_SITES}"),
             (self.n_covariates >= 0, "n_covariates must not be negative"),
             (len(self.beta_psi) == len(self.beta_tau) == self.n_covariates + 1,
              "beta_psi and beta_tau must have one intercept plus one coefficient "
@@ -109,18 +116,24 @@ class SimulatedData:
 
 
 def _draw_sites(scn: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sites with a minimum separation so the mesh stays sane."""
+    """Uniform sites with a minimum separation so the mesh stays sane.
+
+    Candidates are drawn one at a time, at most 200 per site, and one is
+    kept when it lies at least the separation from every site kept so far.
+    """
     min_sep = 0.02 * scn.domain_size
-    pts = []
-    attempts = 0
-    while len(pts) < scn.n_sites and attempts < 200 * scn.n_sites:
+    pts = np.empty((scn.n_sites, 2))
+    n = 0
+    for _ in range(200 * scn.n_sites):
+        if n == scn.n_sites:
+            break
         cand = rng.uniform(0.0, scn.domain_size, size=2)
-        attempts += 1
-        if all(np.hypot(*(cand - p)) >= min_sep for p in pts):
-            pts.append(cand)
-    if len(pts) < scn.n_sites:
+        if np.all(np.hypot(*(cand - pts[:n]).T) >= min_sep):
+            pts[n] = cand
+            n += 1
+    if n < scn.n_sites:
         raise ConfigError("could not place sites with the requested separation")
-    return np.asarray(pts)
+    return pts
 
 
 def simulate_dataset(scn: Scenario | None = None, seed: int = 0) -> SimulatedData:

@@ -38,7 +38,6 @@ __all__ = [
     "build_mesh",
     "fem_matrices",
     "precision_matrix",
-    "precision_terms",
     "precision_coefficients",
     "field_eigenvalues",
     "precision_logdet_fast",
@@ -131,8 +130,17 @@ class Mesh:
 
     @cached_property
     def precision_terms(self) -> tuple:
-        """precision_terms of (C, G)."""
-        return precision_terms(*self.fem)
+        """C, G and G C^-1 G, the sparse terms of precision_matrix.
+
+        With the weights of precision_coefficients they sum to Q.  scipy
+        drops exact zeros from a sparse product, so an entry of G C^-1 G
+        that cancels exactly holds no storage, though its value is still 0.
+        """
+        from scipy import sparse
+
+        C, G = self.fem
+        c_inv = sparse.diags(1.0 / C.diagonal(), format="csc")
+        return C, G, (G @ c_inv @ G).tocsc()
 
 
 def _site_diameter(sites: np.ndarray) -> float:
@@ -329,41 +337,6 @@ def precision_matrix(C: sparse.spmatrix, G: sparse.spmatrix, rho: float, s: floa
     K = (kappa**2) * C + G
     Q = tau2 * (K @ c_inv @ K)
     return sparse.csc_matrix(Q)
-
-
-def _values_on(pattern: sparse.csc_matrix, M: sparse.spmatrix) -> np.ndarray:
-    """Entries of M in the order of pattern.data; pattern must cover M's nonzeros."""
-    n = pattern.shape[0]
-    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    keys = cols * n + pattern.indices
-    M = M.tocoo()
-    out = np.zeros(pattern.nnz)
-    np.add.at(out, np.searchsorted(keys, M.col.astype(np.int64) * n + M.row), M.data)
-    return out
-
-
-def precision_terms(C: sparse.spmatrix, G: sparse.spmatrix) -> tuple:
-    """C, G and G C^-1 G as data vectors on one common sparsity pattern.
-
-    Returns (pattern, terms): pattern is a csc matrix with sorted indices
-    whose nonzeros are those of G C^-1 G taken structurally (it covers the
-    patterns of C and G, and keeps entries that cancel numerically), and
-    terms is a (3, nnz) array holding, in pattern.data order, the entries of
-    C, G and G C^-1 G.  With the coefficients of precision_coefficients,
-    terms.T @ coefficients is the data of precision_matrix on that pattern:
-    Q = tau^2 kappa^4 C + 2 tau^2 kappa^2 G + tau^2 G C^-1 G.
-    """
-    from scipy import sparse
-
-    n = C.shape[0]
-    struct = (abs(sparse.csc_matrix(G)) + sparse.identity(n, format="csc")).tocsc()
-    struct.data[:] = 1.0
-    pattern = (struct @ struct).tocsc()  # positive entries: no cancellation
-    pattern.sort_indices()
-    c_inv = sparse.diags(1.0 / C.diagonal(), format="csc")
-    gcg = (G @ c_inv @ G).tocsc()
-    terms = np.stack([_values_on(pattern, M) for M in (C, G, gcg)])
-    return pattern, terms
 
 
 def precision_coefficients(rho: float, s: float) -> np.ndarray:

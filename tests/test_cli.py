@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -128,6 +129,19 @@ class TestSimulate:
                 _read(os.path.join(out2, name))
         assert _manifest_without_timestamp(os.path.join(pipeline["sim"], "manifest.json")) == \
             _manifest_without_timestamp(os.path.join(out2, "manifest.json"))
+
+    @pytest.mark.filterwarnings("ignore:'spatgev.cli' found in sys.modules")
+    def test_runs_as_main_without_alter_sys(self, tmp_path, monkeypatch):
+        # python -m cProfile -m spatgev.cli runs the module this way: as
+        # __main__, while sys.modules["__main__"] stays the caller's module
+        out = tmp_path / "sim"
+        config = json.dumps({"scenario": {"n_sites": 8, "record_length": 30}})
+        monkeypatch.setattr(sys, "argv",
+                            ["spatgev", "simulate", "--config", config, "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("spatgev.cli", run_name="__main__", alter_sys=False)
+        assert exited.value.code == 0
+        assert os.path.exists(out / "manifest.json")
 
 
 class TestFitSites:
@@ -531,13 +545,17 @@ class TestReturnLevels:
         assert err["error"] == "DataError"
         assert "c1" in err["message"]
 
-    def test_missing_covariate_in_targets(self, pipeline, tmp_path):
+    def test_missing_covariate_in_targets(self, pipeline, tmp_path, capsys):
+        # the model takes c1 on psi and tau; the targets give only c2
         targets = tmp_path / "targets.csv"
         targets.write_text("station,x,y,c2\nt001,50.0,50.0,-0.2\n")
         code = main(["return-levels", "--config", pipeline["cfg"],
                      *pipeline["data"], "--fit", pipeline["fit"],
                      "--targets", str(targets), "--out", str(tmp_path / "o")])
         assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "'c1'" in err["message"]
+        assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.fixture(scope="module")
@@ -613,16 +631,35 @@ class TestTrendAnchor:
                      "--fit", trend_fit["fit"], "--targets", _targets(tmp_path),
                      "--out", out]) == 0
         levels = _level_columns(os.path.join(out, "ungauged_levels.csv"))["t001"]
-        row = np.array([1.0, 0.5])  # the target's c1, as the model's design takes it
-        site = UngaugedSite(coords=np.array([50.0, 50.0]),
-                            design_rows={"psi": row, "tau": row, "phi": np.ones(1),
-                                         "gamma": np.ones(1)})
+        # the target's descriptors, which the model takes untransformed
+        site = UngaugedSite(coords=np.array([50.0, 50.0]), covariates={"c1": 0.5, "c2": -0.2})
         result = trend_fit["result"]
         curves = [self._curves(ungauged_return_level(
             posterior, site, CONFIG["return_periods"], np.random.default_rng(CONFIG["seed"]),
             year=2010.0)) for posterior in (result, dataclasses.replace(result, t0=LINK.t0))]
         assert np.array_equal(levels, curves[0])
         assert not np.allclose(levels, curves[1], rtol=1e-9)
+
+    def test_query_t0_compared_as_anchor(self, pipeline, tmp_path, capsys):
+        # the pipeline's fit omits t0, so its trend anchor is the link's t0;
+        # a query that names that year asks for the same anchor
+        query = {k: v for k, v in CONFIG.items() if k != "t0"}
+        outs = {}
+        for name, t0 in (("omitted", None), ("same", LINK.t0)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(query if t0 is None else {**query, "t0": t0}))
+            outs[name] = str(tmp_path / name)
+            assert main(["predict", "--config", str(cfg), *pipeline["data"],
+                         "--fit", pipeline["fit"], "--out", outs[name]]) == 0
+        assert (_read(os.path.join(outs["same"], "return_levels.csv"))
+                == _read(os.path.join(outs["omitted"], "return_levels.csv")))
+        capsys.readouterr()
+        cfg = tmp_path / "other.json"
+        cfg.write_text(json.dumps({**query, "t0": LINK.t0 + 15}))
+        assert main(["predict", "--config", str(cfg), *pipeline["data"],
+                     "--fit", pipeline["fit"], "--out", str(tmp_path / "other")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "'t0'" in err["message"]
 
 
 class TestCv:
@@ -877,6 +914,7 @@ class TestErrorSurface:
         ("simulate", {"scenario": {"record_length": 0}}, "scenario.record_length"),
         ("simulate", {"scenario": {"range_fraction": 0}}, "scenario.range_fraction"),
         ("simulate", {"scenario": {"xi_center": 0.7}}, "scenario.xi_center"),
+        ("simulate", {"scenario": {"n_sites": 1_000_000}}, "scenario.n_sites"),
         ("simulate", {"scenario": {"n_covariates": -1, "beta_psi": [], "beta_tau": []}},
          "scenario.n_covariates"),
     ])

@@ -42,7 +42,7 @@ from spatgev.gev import (
     link_inverse,
 )
 from spatgev.latent import McmcConfig
-from spatgev.predict import posterior_predictive
+from spatgev.predict import UngaugedSite, posterior_predictive
 from spatgev.simulate import Scenario, simulate_dataset
 from spatgev.site_fit import fit_all_sites, fit_site, site_loglik
 from spatgev.spde import build_mesh
@@ -423,8 +423,8 @@ def _per_cell_tables(ds, plan, cv, mcmc, seed, mesh):
             for s, yr, v in cells[mode]:
                 key = (s, yr if spec.trend else None)
                 if key not in cache:
-                    target = (train_pos[s] if mode == "within" else
-                              evaluate._ungauged_for(ds, spec, s, names))
+                    target = (train_pos[s] if mode == "within" else UngaugedSite(
+                        ds.sites[s], dict(zip(ds.covariate_names, ds.covariates[s]))))
                     cache[key] = posterior_predictive(result, target, rng, year=key[1],
                                                       n_per_draw=n_per)
                 out.append(evaluate._bits_from_density(kde_density(cache[key], v)))

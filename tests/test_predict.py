@@ -215,15 +215,16 @@ class TestEffectTable:
             effect_table(res, {"c1": cov["c1"]})
 
 
+def _covariates(ds, site):
+    return dict(zip(ds.covariate_names, ds.covariates[site]))
+
+
 class TestUngauged:
     def test_clone_mean_and_total_variance(self, honest_result):
         res, ds, truth = honest_result
         site = 3
         X = res.structure.params[0].design
-        ug = UngaugedSite(
-            coords=ds.sites[site],
-            design_rows={"psi": X[site], "tau": np.ones(1), "phi": np.ones(1)},
-        )
+        ug = UngaugedSite(coords=ds.sites[site], covariates=_covariates(ds, site))
         pred = predict_ungauged(res, ug, np.random.default_rng(0))
         beta = res.nu_block("psi", "beta")
         u = res.nu_block("psi", "u")
@@ -239,8 +240,7 @@ class TestUngauged:
 
     def test_zero_nugget_is_deterministic(self):
         res = _simple_result(eps=0.0)
-        ug = UngaugedSite(coords=np.zeros(2),
-                          design_rows={nm: np.ones(1) for nm in ("psi", "tau", "phi")})
+        ug = UngaugedSite(coords=np.zeros(2))
         a = predict_ungauged(res, ug, np.random.default_rng(1))
         b = predict_ungauged(res, ug, np.random.default_rng(2))
         for nm in a:
@@ -249,11 +249,7 @@ class TestUngauged:
     def test_gauged_site_is_tighter_than_clone(self, honest_result):
         res, ds, _ = honest_result
         site = 5
-        X = res.structure.params[0].design
-        ug = UngaugedSite(
-            coords=ds.sites[site],
-            design_rows={"psi": X[site], "tau": np.ones(1), "phi": np.ones(1)},
-        )
+        ug = UngaugedSite(coords=ds.sites[site], covariates=_covariates(ds, site))
         pred = predict_ungauged(res, ug, np.random.default_rng(7))
         gauged = res.eta_by_param("psi")[:, site]
         width = lambda v: np.quantile(v, 0.95) - np.quantile(v, 0.05)
@@ -261,29 +257,29 @@ class TestUngauged:
 
     def test_outside_mesh_rejected(self, honest_result):
         res, ds, _ = honest_result
-        ug = UngaugedSite(coords=np.array([1e6, 1e6]),
-                          design_rows={"psi": np.zeros(3), "tau": np.ones(1),
-                                       "phi": np.ones(1)})
+        ug = UngaugedSite(coords=np.array([1e6, 1e6]), covariates={"c1": 0.0, "c2": 0.0})
         with pytest.raises(DataError):
             predict_ungauged(res, ug, np.random.default_rng(0))
 
     def test_bad_design_rows(self, honest_result):
         res, ds, _ = honest_result
-        ug = UngaugedSite(coords=ds.sites[0], design_rows={"psi": np.ones(3)})
-        with pytest.raises(ConfigError):
+        ug = UngaugedSite(coords=ds.sites[0], covariates={"c1": 1.0})
+        with pytest.raises(ConfigError, match="'c2'"):
             predict_ungauged(res, ug, np.random.default_rng(0))
-        ug2 = UngaugedSite(coords=ds.sites[0],
-                           design_rows={"psi": np.ones(2), "tau": np.ones(1),
-                                        "phi": np.ones(1)})
-        with pytest.raises(ConfigError):
-            predict_ungauged(res, ug2, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="'c1', 'c2'"):
+            predict_ungauged(res, UngaugedSite(coords=ds.sites[0]),
+                             np.random.default_rng(0))
+
+    def test_design_row_follows_the_names(self):
+        pm = ParamModel(name="psi", design=np.ones((3, 3)), covariate_names=("b", "a"))
+        assert np.array_equal(pm.design_row({"a": 2.0, "b": 3.0, "z": 9.0}), [1.0, 3.0, 2.0])
+        unlabeled = ParamModel(name="psi", design=np.ones((3, 2)))
+        with pytest.raises(ConfigError, match="1 covariate columns but 0 names"):
+            unlabeled.design_row({"c1": 1.0})
 
     def test_ungauged_curve_shape(self, honest_result):
         res, ds, _ = honest_result
-        X = res.structure.params[0].design
-        ug = UngaugedSite(coords=ds.sites[2],
-                          design_rows={"psi": X[2], "tau": np.ones(1),
-                                       "phi": np.ones(1)})
+        ug = UngaugedSite(coords=ds.sites[2], covariates=_covariates(ds, 2))
         curve = ungauged_return_level(res, ug, [10.0, 100.0],
                                       np.random.default_rng(3))
         assert curve.mean.shape == (2,)

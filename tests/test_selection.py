@@ -281,7 +281,6 @@ class TestSelectAll:
         assert set(out) == {"psi", "tau", "phi"}
         for res in out.values():
             assert res.score_no_spatial is None  # no mesh given
-            assert isinstance(res.summary(), str)
 
     def test_workers_equal_the_serial_run(self, monkeypatch):
         # parameters on two workers against the serial loop, field included;

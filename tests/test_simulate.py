@@ -9,7 +9,25 @@ from matern_oracle import matern_correlation
 from spatgev.errors import ConfigError
 from spatgev.evaluate import ad_critical_value, anderson_darling, empirical_variogram
 from spatgev.gev import LINK, gev_cdf, shape_forward, trend_inverse
-from spatgev.simulate import Scenario, paper_like_scenario, simulate_dataset
+from spatgev.simulate import (
+    MAX_SITES,
+    Scenario,
+    _draw_sites,
+    paper_like_scenario,
+    simulate_dataset,
+)
+
+
+def _draw_sites_loop(scn, rng):
+    """Reference for _draw_sites: each candidate tested against one placed site at a time."""
+    min_sep = 0.02 * scn.domain_size
+    pts, attempts = [], 0
+    while len(pts) < scn.n_sites and attempts < 200 * scn.n_sites:
+        cand = rng.uniform(0.0, scn.domain_size, size=2)
+        attempts += 1
+        if all(np.hypot(*(cand - p)) >= min_sep for p in pts):
+            pts.append(cand)
+    return np.asarray(pts)
 
 
 class TestDeterminism:
@@ -45,6 +63,19 @@ class TestStructure:
     def test_minimum_separation(self):
         sim = simulate_dataset(Scenario(n_sites=40), seed=2)
         assert pdist(sim.dataset.sites).min() >= 0.02 * 100.0
+
+    @pytest.mark.parametrize("n_sites, seed", [(60, 0), (300, 11)])
+    def test_site_draws_equal_the_loop(self, n_sites, seed):
+        # the same sites, and the generator left in the same state
+        scn = Scenario(n_sites=n_sites)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_draw_sites(scn, a), _draw_sites_loop(scn, b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_site_count_bounded(self):
+        Scenario(n_sites=MAX_SITES)
+        with pytest.raises(ConfigError, match="n_sites"):
+            Scenario(n_sites=MAX_SITES + 1)
 
     def test_variable_record_lengths(self):
         scn = Scenario(n_sites=30, record_length=None)
