@@ -18,12 +18,13 @@ unknown key at any level, or a value, list element or number that is not of
 its declared type, exits 2 naming the key's dotted path.  The loader is the
 one place that applies the two run-level defaults: a section's seed takes the
 run's seed, and aggregate.periods takes return_periods, unless given.  Then
-every section's validate runs, and a value out of range (a negative seed
-among them) exits 2 as well.  Commands read attributes of the tree, and
-RunConfig.anchor is the one place where an absent t0 becomes the link's
-anchor year.  select, fit and cv share priors and mesh: their
-latent structures take the one priors section, and their fields live on a
-mesh built with the one mesh section.
+every section's validate runs, and a value out of range exits 2 as well: a
+negative seed, fewer than 4 kept draws per chain, an empty list of periods or
+stations, or a period T not above 1 or at which 1 - 1/T rounds to 1 in
+float64.  Commands read attributes of the tree, and RunConfig.anchor is the
+one place where an absent t0 becomes the link's anchor year.  select, fit and
+cv share priors and mesh: their latent structures take the one priors
+section, and their fields live on a mesh built with the one mesh section.
 
 A fit directory is the whole fit.  Besides the draws (theta_draws.csv, and
 the latent eta_draws.npy and nu_draws.npy: float64 arrays of one row per
@@ -42,7 +43,10 @@ acceptance, status and warnings) is for the reader.  Every one of these files
 must match its sha256 in manifest.json; a missing manifest, file or entry, or
 a mismatch, is refused with a data error, and so is a mesh whose leading
 nodes are not the input's site coordinates.  A query's t0, when given, must
-be the fit's anchor year.  return-levels also reads the targets table
+be the fit's anchor year, and its spatial, compared as a section with its
+defaults filled in, the fit's.  Under a trend, predict.year must lie within
+1 / delta0 = 125 years of the anchor, where every draw's location stays
+positive.  return-levels also reads the targets table
 (station, x, y and descriptors).  It transforms the descriptors with
 model.json's transform when fit transformed its own, and passes each target's
 values by name to the fitted structure, whose parameters build their own
@@ -88,7 +92,13 @@ from .dataio import (
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import CvConfig, make_cv_plan, run_cv
 from .latent import McmcConfig, Priors, SmoothResult, build_structure, smooth_step
-from .predict import UngaugedSite, posterior_predictive, return_level, ungauged_return_level
+from .predict import (
+    UngaugedSite,
+    _check_periods,
+    posterior_predictive,
+    return_level,
+    ungauged_return_level,
+)
 from .selection import SelectionConfig, select_all
 from .simulate import Scenario, simulate_dataset
 from .site_fit import PARAM_NAMES, SiteFit, StackedFits, fit_all_sites, stack_fits
@@ -132,11 +142,19 @@ class SpatialConfig:  # the link parameters that get a field
     gamma: bool = False
 
 
+def _check_stations(stations: list | None) -> None:
+    if stations is not None and not stations:
+        raise ValueError("stations must not be empty; leave it out for every station")
+
+
 @dataclass
 class PredictConfig:  # aggregate reads year too
     year: float | None = None  # None: the levels at the trend's t0
     stations: list[str] | None = None  # None: every station
     include_nugget: bool = True  # ungauged draws add the nugget
+
+    def validate(self) -> None:
+        _check_stations(self.stations)
 
 
 @dataclass
@@ -150,6 +168,8 @@ class AggregateConfig:
     n_bootstrap: int = 500
 
     def validate(self) -> None:
+        _check_stations(self.stations)
+        _check_periods(self.periods)
         if self.n_bootstrap < 1:
             raise ValueError("n_bootstrap must be at least 1")
 
@@ -210,6 +230,10 @@ class RunConfig:
         cfg.raw = data
         if cfg.seed < 0:
             raise ConfigError(f"config key 'seed' must not be negative, got {cfg.seed}")
+        try:
+            _check_periods(cfg.return_periods)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'return_periods': {exc}") from exc
         run_level = {"seed": cfg.seed, "periods": cfg.return_periods}
         for name, section in list(vars(cfg).items()):
             if not is_dataclass(section):
@@ -231,7 +255,9 @@ class RunConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number, an integer only within float64's range; a bool is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, float) or abs(value) <= sys.float_info.max))
 
 
 def _matches(value, hint) -> bool:
@@ -678,15 +704,18 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
     ds, _ = _load_inputs(cfg, args)
     if list(ds.station_ids) != model["station_ids"]:
         raise DataError("station set does not match the fitted model")
-    for key in ("covariates", "tau_covariates", "spatial", "trend"):
+    for key in ("covariates", "tau_covariates", "trend"):
         if key in cfg.raw and cfg.raw[key] != model[key]:
             raise ConfigError(f"config {key!r}={cfg.raw[key]!r} disagrees with "
                               f"the fitted model ({model[key]!r})")
+    spatial = _build(SpatialConfig, model["spatial"], "spatial")
+    if "spatial" in cfg.raw and cfg.spatial != spatial:
+        raise ConfigError(f"config 'spatial'={vars(cfg.spatial)!r} disagrees with "
+                          f"the fitted model ({vars(spatial)!r})")
 
     # the structure is the fitted model's, whatever the config gives for its priors
     fitted = replace(cfg, covariates=model["covariates"],
-                     tau_covariates=model["tau_covariates"],
-                     spatial=_build(SpatialConfig, model["spatial"], "spatial"),
+                     tau_covariates=model["tau_covariates"], spatial=spatial,
                      priors=_build(Priors, model["priors"], "priors"), t0=model["t0"])
     if "t0" in cfg.raw and cfg.anchor != fitted.anchor:
         raise ConfigError(f"config 't0'={cfg.raw['t0']!r} disagrees with the fitted "
@@ -711,12 +740,6 @@ def _load_fit(fit_dir: str, cfg: RunConfig, args):
     return result, ds, model
 
 
-def _periods_from(cfg: RunConfig) -> list:
-    if not cfg.return_periods:
-        raise ConfigError("return_periods must not be empty")
-    return [float(p) for p in cfg.return_periods]
-
-
 def _write_levels(args, command: str, cfg: RunConfig, name: str, curves: list, year) -> int:
     """Write one row per period of each (station, curve), then the manifest."""
     rows = [[st, _fmt(period), "" if year is None else _fmt(year), _fmt(curve.mean[k]),
@@ -732,14 +755,13 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     result, ds, _ = _load_fit(args.fit, cfg, args)
     opts = cfg.predict
     stations = opts.stations or list(ds.station_ids)
-    periods = _periods_from(cfg)
     index = {st: i for i, st in enumerate(ds.station_ids)}
 
     curves = []
     for st in stations:
         if st not in index:
             raise ConfigError(f"unknown station {st!r}")
-        curves.append((st, return_level(result, index[st], periods, year=opts.year)))
+        curves.append((st, return_level(result, index[st], cfg.return_periods, year=opts.year)))
     return _write_levels(args, "predict", cfg, "return_levels.csv", curves, opts.year)
 
 
@@ -758,7 +780,7 @@ def cmd_return_levels(args, cfg: RunConfig) -> int:
         check_finite(dnames, raw)
         covs = raw
     opts = cfg.predict
-    periods = _periods_from(cfg)
+    periods = cfg.return_periods
     rng = np.random.default_rng(cfg.seed)
 
     curves = []
@@ -834,8 +856,6 @@ def cmd_aggregate(args, cfg: RunConfig) -> int:
         weights = np.array([float(w_of[i]) for i in block.station_indices])
 
     year = cfg.predict.year
-    if not opts.periods:
-        raise ConfigError("aggregate.periods must not be empty")
 
     _progress(f"aggregate: {block.n_sites} stations x {block.n_years} years, "
               f"{opts.n_blocks} blocks")

@@ -164,12 +164,13 @@ class AggregateCurve:
 
 def aggregate_return_levels(samples: np.ndarray, weights: np.ndarray,
                             periods, n_bootstrap: int = 500,
-                            level: float = 0.95, seed: int = 0) -> AggregateCurve:
+                            seed: int = 0) -> AggregateCurve:
     """Return-level curve for the weighted across-site sum.
 
     Each block-year contributes one aggregate value; the curve reads
-    empirical quantiles at 1 - 1/T off the pooled aggregates. Intervals
-    come from a block bootstrap (blocks are the exchangeable unit).
+    empirical quantiles at 1 - 1/T (below 1 in float64) off the pooled
+    aggregates.  The central 95% intervals come from a block bootstrap
+    (blocks are the exchangeable unit).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 2:
@@ -182,10 +183,8 @@ def aggregate_return_levels(samples: np.ndarray, weights: np.ndarray,
     if np.any(weights < 0.0):
         raise ConfigError("weights must be nonnegative")
     periods = np.atleast_1d(np.asarray(periods, dtype=float))
-    if np.any(periods <= 1.0):
-        raise ConfigError("return periods must exceed 1")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("interval level must be in (0, 1)")
+    if not (np.all(periods > 1.0) and np.all(1.0 - 1.0 / periods < 1.0)):
+        raise ConfigError("return periods must exceed 1, with 1 - 1/T below 1")
 
     probs = 1.0 - 1.0 / periods
     aggregates = np.einsum("blm,l->bm", samples, weights)  # (n_blocks, M)
@@ -197,7 +196,6 @@ def aggregate_return_levels(samples: np.ndarray, weights: np.ndarray,
     for k in range(n_bootstrap):
         pick = rng.integers(0, n_blocks, size=n_blocks)
         boot[k] = np.quantile(aggregates[pick].ravel(), probs)
-    alpha = 0.5 * (1.0 - level)
     return AggregateCurve(periods=periods, level=point,
-                          lower=np.quantile(boot, alpha, axis=0),
-                          upper=np.quantile(boot, 1.0 - alpha, axis=0))
+                          lower=np.quantile(boot, 0.025, axis=0),
+                          upper=np.quantile(boot, 0.975, axis=0))

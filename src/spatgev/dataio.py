@@ -57,15 +57,11 @@ class MaximaDataset:
             covariate_names=list(self.covariate_names),
         )
 
-    def filter_years(self, lo: float | None = None, hi: float | None = None) -> "MaximaDataset":
-        """Keep only observations with lo <= year <= hi."""
+    def filter_years(self, hi: float) -> "MaximaDataset":
+        """Keep only observations with year <= hi."""
         recs = []
         for years, y in self.records:
-            keep = np.ones(years.shape, dtype=bool)
-            if lo is not None:
-                keep &= years >= lo
-            if hi is not None:
-                keep &= years <= hi
+            keep = years <= hi
             recs.append((years[keep], y[keep]))
         return MaximaDataset(
             station_ids=list(self.station_ids), sites=self.sites.copy(), records=recs,
@@ -83,19 +79,19 @@ class MaximaDataset:
         return np.column_stack(cols)
 
 
-def _csv_rows(path: str, delimiter: str | None):
-    """Rows of the UTF-8 text file at path, sniffing the delimiter when None.
+def _csv_rows(path: str):
+    """Rows of the UTF-8 text file at path: tab-delimited when its first line
+    holds a tab and no comma, else comma-delimited.
 
     A file that cannot be read or decoded raises DataError naming it, and
     the line of the first byte that is not UTF-8.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            if delimiter is None:
-                head = fh.readline()
-                fh.seek(0)
-                delimiter = "\t" if "\t" in head and "," not in head else ","
-            yield from csv.reader(fh, delimiter=delimiter)
+            head = fh.readline()
+            fh.seek(0)
+            yield from csv.reader(fh, delimiter="\t" if "\t" in head and "," not in head
+                                  else ",")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError:
@@ -110,15 +106,15 @@ def _csv_rows(path: str, delimiter: str | None):
         raise
 
 
-def read_maxima_csv(path: str, delimiter: str | None = None) -> list:
-    """Read long-form (station, year, amax) rows.
+def read_maxima_csv(path: str) -> list:
+    """Read long-form (station, year, amax) rows, comma- or tab-delimited.
 
     Returns a list of (station_id, year, value) tuples in file order.
     Duplicate (station, year) pairs raise DataError naming the line numbers.
     """
     rows = []
     seen: dict = {}
-    reader = _csv_rows(path, delimiter)
+    reader = _csv_rows(path)
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty file")
@@ -193,14 +189,14 @@ def _parse_cell(text: str) -> float:
     return float(text)
 
 
-def read_descriptors_csv(path: str, delimiter: str | None = None):
-    """Read a station-keyed descriptor table.
+def read_descriptors_csv(path: str):
+    """Read a station-keyed descriptor table, comma- or tab-delimited.
 
     Returns (station_ids, column_names, values) where values is (J, k) and
     column_names excludes the station key.  Coordinate columns x and y, if
     present, stay in the table like any other column.
     """
-    reader = _csv_rows(path, delimiter)
+    reader = _csv_rows(path)
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty file")

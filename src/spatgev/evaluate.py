@@ -31,6 +31,7 @@ from .site_fit import (
     site_loglik,
     site_loglik_derivatives,
 )
+from .spde import build_mesh
 
 __all__ = [
     "LOG_SCORE_FLOOR",
@@ -401,7 +402,6 @@ def _build_table(bits_by_model: dict, plan: CvPlan, max_train_year: float) -> Sc
 class CvResult:
     within: ScoreTable
     out_of_site: ScoreTable
-    plan: CvPlan
     failures: dict = field(default_factory=dict)
 
 
@@ -453,7 +453,7 @@ def _fit_lgm(dataset: MaximaDataset, spec: ModelSpec, plan: CvPlan,
 def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
            covariate_names: list | None = None,
            mcmc: McmcConfig | None = None,
-           seed: int = 0, t0: float = LINK.t0, mesh=None,
+           seed: int = 0, t0: float = LINK.t0,
            priors: Priors | None = None, mesh_options=None) -> CvResult:
     """Fit every variant of cv.variants on the training window and score
     test cells.
@@ -464,8 +464,8 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
     floor are excluded and tallied per model.  The training sites are fit
     once per trend setting: MLE and the stationary LGM variants share one
     stationary max step.  The LGM variants' structures take priors
-    (default Priors()); their fields live on mesh, which is built from all
-    the sites with mesh_options (spde.MeshOptions) when not given.
+    (default Priors()); their fields live on one mesh, built from all the
+    sites with mesh_options (spde.MeshOptions, default MeshOptions()).
     """
     plan.validate()
     mcmc = mcmc or McmcConfig()
@@ -480,11 +480,8 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
     if max_train_year > plan.train_end_year:
         raise NumericalError("training window leaked past the split year")
 
-    if mesh is None and any(
-            v in LGM_VARIANTS and LGM_VARIANTS[v].spatial for v in variants):
-        from .spde import build_mesh
-
-        mesh = build_mesh(dataset.sites, mesh_options)
+    spatial = any(LGM_VARIANTS[v].spatial for v in variants if v in LGM_VARIANTS)
+    mesh = build_mesh(dataset.sites, mesh_options) if spatial else None
 
     within_cells = _test_observations(dataset, plan.train_sites, plan.test_years)
     out_cells = _test_observations(dataset, plan.heldout_sites, plan.test_years)
@@ -561,7 +558,7 @@ def run_cv(dataset: MaximaDataset, plan: CvPlan, cv: CvConfig,
 
     within = _build_table(within_bits, plan, max_train_year)
     out = _build_table(out_bits, plan, max_train_year)
-    return CvResult(within=within, out_of_site=out, plan=plan, failures=failures)
+    return CvResult(within=within, out_of_site=out, failures=failures)
 
 
 # ----------------------------------------------------------------------------

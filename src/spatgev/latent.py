@@ -66,6 +66,7 @@ __all__ = [
     "build_structure",
     "marginal_loglik",
     "log_prior_theta",
+    "log_posterior",
     "McmcConfig",
     "ThetaSamples",
     "run_mcmc",
@@ -367,24 +368,18 @@ def build_structure(stacked: StackedFits, designs: dict[str, np.ndarray],
 
     designs maps parameter names (psi, tau, phi, gamma) to (J, p) matrices; a
     missing entry means intercept only.  spatial marks which parameters get a
-    field.  The mesh is built from the sites when needed and not supplied.
-    priors defaults to Priors().  covariate_names optionally labels the
-    non-intercept design columns.
+    field; a field needs both the site coordinates and the mesh it lives on
+    (spde.build_mesh), or ConfigError is raised.  priors defaults to Priors().
+    covariate_names optionally labels the non-intercept design columns.
     """
     q = stacked.n_params
     labels = PARAM_NAMES[:q]
     J = stacked.n_sites
-    need_mesh = any(spatial.get(name, False) for name in labels)
     A = None
-    if need_mesh:
-        if mesh is None:
-            if sites is None:
-                raise ConfigError("spatial fields need sites or a prebuilt mesh")
-            from .spde import build_mesh
-
-            mesh = build_mesh(np.asarray(sites, dtype=float))
-        A = projector(mesh, np.asarray(sites, dtype=float) if sites is not None
-                      else mesh.points[:J])
+    if any(spatial.get(name, False) for name in labels):
+        if sites is None or mesh is None:
+            raise ConfigError("spatial fields need the sites and a mesh")
+        A = projector(mesh, np.asarray(sites, dtype=float))
     params = []
     for name in labels:
         X = designs.get(name)
@@ -476,6 +471,16 @@ def log_prior_theta(structure: LatentStructure, theta: np.ndarray) -> float:
     return out
 
 
+def log_posterior(structure: LatentStructure, x: np.ndarray) -> float:
+    """Unnormalized log posterior of x = log theta, for the MCMC chains and
+    selection's grid: marginal likelihood and prior at theta = exp(x), plus
+    the log transform's Jacobian; -inf where either term is not finite."""
+    theta = np.exp(x)
+    lp = log_prior_theta(structure, theta)
+    ll = marginal_loglik(structure, theta) if np.isfinite(lp) else -np.inf
+    return ll + lp + float(x.sum()) if np.isfinite(ll) else -np.inf
+
+
 # ----------------------------------------------------------------------------
 # Adaptive random-walk Metropolis on log theta
 # ----------------------------------------------------------------------------
@@ -494,8 +499,8 @@ class McmcConfig:
     def validate(self) -> None:
         if self.n_chains < 1 or self.n_iterations < 20:
             raise ConfigError("MCMC needs at least one chain and 20 iterations")
-        if self.n_kept < 1:
-            raise ConfigError("n_kept must be at least 1")
+        if self.n_kept < 4:  # split-Rhat needs two draws in each half of a chain
+            raise ConfigError("n_kept must be at least 4")
         if self.n_kept > self.n_iterations - self.n_burn:
             raise ConfigError("n_kept exceeds post-burn-in draws")
         if self.seed < 0:
@@ -559,10 +564,11 @@ def _ess(chains: np.ndarray) -> np.ndarray:
 def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> ThetaSamples:
     """Sample theta from its marginal posterior by adaptive random walk.
 
-    The walk lives on log theta (with the Jacobian included); the proposal
-    covariance adapts during burn-in (empirical covariance scaled toward the
-    target acceptance rate) and is frozen afterwards so the kept draws come
-    from a fixed Markov kernel.  Fixed seed gives bit-identical output.
+    The walk lives on log theta (log_posterior, Jacobian included); the
+    proposal covariance adapts during burn-in (empirical covariance scaled
+    toward the target acceptance rate) and is frozen afterwards so the kept
+    draws come from a fixed Markov kernel.  Fixed seed gives bit-identical
+    output.
 
     Each chain keeps its own RNG, spawned from the seed, and the chains run
     in forked worker processes, one per available core
@@ -572,16 +578,6 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
     config = config or McmcConfig()
     config.validate()
     d = structure.n_theta
-
-    def log_post(x: np.ndarray) -> float:
-        theta = np.exp(x)
-        lp = log_prior_theta(structure, theta)
-        if not np.isfinite(lp):
-            return -np.inf
-        ll = marginal_loglik(structure, theta)
-        if not np.isfinite(ll):
-            return -np.inf
-        return ll + lp + float(x.sum())  # Jacobian of the log transform
 
     # deterministic starting point: nugget at a tenth of its prior scale,
     # field sd at half its prior scale, range at three times rho0
@@ -603,11 +599,11 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
         """One chain's kept draws on log theta, (n_kept, d), and its acceptance rate."""
         rng = np.random.default_rng(seeds[c])
         x = x0 + 0.1 * rng.standard_normal(d)
-        fx = log_post(x)
+        fx = log_posterior(structure, x)
         tries = 0
         while not np.isfinite(fx) and tries < 50:
             x = x0 + 0.1 * rng.standard_normal(d)
-            fx = log_post(x)
+            fx = log_posterior(structure, x)
             tries += 1
         if not np.isfinite(fx):
             raise NumericalError("could not find a valid starting point for MCMC")
@@ -620,7 +616,7 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
         k_keep = 0
         for t in range(n_iter):
             prop = x + math.exp(log_scale) * (chol @ rng.standard_normal(d))
-            fp = log_post(prop)
+            fp = log_posterior(structure, prop)
             log_alpha = fp - fx
             accept = math.log(rng.uniform()) < log_alpha if np.isfinite(fp) else False
             if accept:
@@ -648,8 +644,8 @@ def run_mcmc(structure: LatentStructure, config: McmcConfig | None = None) -> Th
 
     # fill the caches that every likelihood call reads before the workers
     # fork, so they share them and sample_latent finds them here; filled
-    # directly, since a log_post call would count as a likelihood evaluation.
-    # The factor's LAPACK module is such a cache too.
+    # directly, since a log_posterior call would count as a likelihood
+    # evaluation.  The factor's LAPACK module is such a cache too.
     import scipy.linalg.lapack  # noqa: F401
 
     _ = structure._p_pattern

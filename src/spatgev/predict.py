@@ -43,9 +43,14 @@ __all__ = [
 
 def _natural_draws(linked: dict, year: float | None, t0: float):
     """Linked draws dict -> (mu_t, sigma, xi) arrays at the given year (None:
-    the trend's anchor year t0)."""
+    the trend's anchor year t0).  Under a trend, mu_t = mu (1 + delta (t - t0))
+    with |delta| < delta0 stays positive for every draw only while
+    |t - t0| <= 1 / delta0; a year further from t0 raises ConfigError."""
     mu = np.exp(linked["psi"])
     t = t0 if year is None else float(year)
+    if "gamma" in linked and not abs(t - t0) <= 1.0 / LINK.delta0:  # NaN too
+        raise ConfigError(f"prediction year {t:g} lies over {1.0 / LINK.delta0:g} years "
+                          f"from the trend's anchor year {t0:g}")
     delta = trend_inverse(linked["gamma"]) if "gamma" in linked else 0.0
     mu_t = mu * (1.0 + delta * (t - t0))
     return mu_t, mu * np.exp(linked["tau"]), shape_inverse(linked["phi"])
@@ -74,9 +79,10 @@ class ReturnLevelCurve:
 
 
 def _check_periods(periods) -> np.ndarray:
+    """periods as an array: at least one, each above 1 year with 1 - 1/T below 1."""
     periods = np.atleast_1d(np.asarray(periods, dtype=float))
-    if np.any(periods <= 1.0):
-        raise ConfigError("return periods must exceed 1 year")
+    if not (periods.size and np.all(periods > 1.0) and np.all(1.0 - 1.0 / periods < 1.0)):
+        raise ConfigError(f"return periods must exceed 1, with 1 - 1/T < 1: {periods.tolist()}")
     return periods
 
 

@@ -32,8 +32,7 @@ from .latent import (
     ParamModel,
     Priors,
     _collapsed_system,
-    log_prior_theta,
-    marginal_loglik,
+    log_posterior,
 )
 from .site_fit import PARAM_NAMES, StackedFits
 from .spde import Mesh, projector
@@ -120,7 +119,7 @@ def _build_candidate(obs: UnivariateObs, X: np.ndarray, spatial: bool,
 
 def _theta_grid(obs: UnivariateObs, structure: LatentStructure,
                 config: SelectionConfig) -> np.ndarray:
-    """Posterior mean of log hyperparameters over a log-spaced grid."""
+    """Posterior mean (latent.log_posterior) of log theta over a log-spaced grid."""
     scale = float(np.std(obs.eta, ddof=1))
     scale = max(scale, 1e-3)
     spatial = structure.params[0].spatial
@@ -134,12 +133,7 @@ def _theta_grid(obs: UnivariateObs, structure: LatentStructure,
         axes += [s_axis, rho_axis]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([a.ravel() for a in grids])
-    logp = np.empty(pts.shape[0])
-    for k, x in enumerate(pts):
-        theta = np.exp(x)
-        # measure is d(log theta), hence the Jacobian term
-        logp[k] = (marginal_loglik(structure, theta)
-                   + log_prior_theta(structure, theta) + x.sum())
+    logp = np.array([log_posterior(structure, x) for x in pts])
     logp -= logp.max()
     w = np.exp(logp)
     w /= w.sum()
@@ -192,7 +186,6 @@ class StepRecord:
 
 @dataclass
 class SelectionResult:
-    parameter: str
     path: list  # StepRecord per nested model, spatial field on when available
     chosen: tuple  # covariate names of the selected model
     spatial: bool
@@ -259,7 +252,6 @@ def forward_select(obs: UnivariateObs, covariates: dict,
         score_no_spatial if score_no_spatial is not None else chosen_rec.score)
 
     return SelectionResult(
-        parameter=obs.name,
         path=path,
         chosen=chosen_rec.names,
         spatial=spatial,

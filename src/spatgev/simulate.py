@@ -87,12 +87,15 @@ def paper_like_scenario(trend: bool = False) -> Scenario:
 
 @dataclass
 class SimTruth:
-    """Everything the generator drew, for checking recovery."""
+    """What the generator drew, for checking recovery.
+
+    The spatial fields enter through eta at the sites; their values at the
+    other mesh nodes are not kept.
+    """
 
     eta: np.ndarray  # (q, J) latent values per parameter per site
     param_names: tuple
     beta: dict  # name -> coefficient vector (intercept first)
-    u: dict  # name -> node values of the spatial field
     theta: dict  # name -> dict with s, rho, eps as used
     mesh: Mesh
     rho: float
@@ -150,16 +153,12 @@ def simulate_dataset(scn: Scenario | None = None, seed: int = 0) -> SimulatedDat
     X = np.column_stack([np.ones(scn.n_sites), covariates])
 
     # sites are the leading mesh nodes, so the field at the sites is a slice
-    u = {}
     fields = {}
     for name, s in (("psi", scn.s_psi), ("tau", scn.s_tau)):
         if s > 0:
             Q = precision_matrix(C, G, rho=rho, s=s)
-            u_nodes = sample_field(Q, rng)
-            u[name] = u_nodes
-            fields[name] = u_nodes[: scn.n_sites]
+            fields[name] = sample_field(Q, rng)[: scn.n_sites]
         else:
-            u[name] = np.zeros(mesh.n_nodes)
             fields[name] = np.zeros(scn.n_sites)
 
     beta_psi = np.asarray(scn.beta_psi, dtype=float)
@@ -186,7 +185,6 @@ def simulate_dataset(scn: Scenario | None = None, seed: int = 0) -> SimulatedDat
         eta=eta,
         param_names=tuple(param_names),
         beta={"psi": beta_psi, "tau": beta_tau},
-        u=u,
         theta={
             "psi": {"s": scn.s_psi, "rho": rho, "eps": scn.eps_psi},
             "tau": {"s": scn.s_tau, "rho": rho, "eps": scn.eps_tau},

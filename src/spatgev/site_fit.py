@@ -342,11 +342,11 @@ def stack_fits(fits: list[SiteFit]) -> StackedFits:
 
 
 def fit_all_sites(records: list[tuple[np.ndarray, np.ndarray]], trend: bool = True,
-                  t0: float = LINK.t0, include_priors: bool = True,
-                  station_ids: list | None = None) -> StackedFits:
+                  t0: float = LINK.t0, station_ids: list | None = None) -> StackedFits:
     """Fit every site and assemble the stacked pseudo-observation.
 
     records is a list of (years, y) pairs, one per site, already aligned.
+    Each site gets fit_site's generalized likelihood, priors included.
     A site's DataError is raised again prefixed with its station id
     (station_ids[i], or the record position when no ids are given); when
     several sites fail, the first in record order is raised.
@@ -361,7 +361,7 @@ def fit_all_sites(records: list[tuple[np.ndarray, np.ndarray]], trend: bool = Tr
     def fit_one(i: int) -> SiteFit:
         yr, y = records[i]
         try:
-            return fit_site(y, yr, trend=trend, t0=t0, include_priors=include_priors)
+            return fit_site(y, yr, trend=trend, t0=t0)
         except DataError as exc:
             sid = station_ids[i] if station_ids is not None else i
             raise DataError(f"station {sid}: {exc}") from exc

@@ -143,11 +143,6 @@ class Mesh:
         return C, G, (G @ c_inv @ G).tocsc()
 
 
-def _site_diameter(sites: np.ndarray) -> float:
-    d = sites[:, None, :] - sites[None, :, :]
-    return float(np.sqrt((d**2).sum(-1)).max())
-
-
 def _buffer_ring(hull: ConvexHull, offset: float, spacing: float) -> np.ndarray:
     """Points on the hull boundary pushed outward along edge normals.
 
@@ -242,11 +237,11 @@ def build_mesh(sites: np.ndarray, options: MeshOptions | None = None) -> Mesh:
         raise DataError("mesh needs at least 3 sites")
     d = sites[:, None, :] - sites[None, :, :]
     dist = np.sqrt((d**2).sum(-1))
+    diameter = float(dist.max())
     np.fill_diagonal(dist, np.inf)
     if dist.min() == 0.0:
         raise DataError("duplicate site coordinates")
 
-    diameter = _site_diameter(sites)
     try:
         hull = ConvexHull(sites)
     except QhullError as exc:

@@ -48,6 +48,7 @@ from spatgev.latent import (
 from spatgev.selection import SelectionConfig, diagonalize, forward_select
 from spatgev.simulate import Scenario, paper_like_scenario, simulate_dataset
 from spatgev.site_fit import fit_all_sites, fit_site, site_loglik
+from spatgev.spde import build_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,8 @@ def test_criterion_05_conjugacy_oracle():
         stacked = fit_all_sites(records, trend=False)
         X = np.column_stack([np.ones(J), rng.standard_normal(J)])
         st = build_structure(stacked, designs={"psi": X},
-                             spatial={"psi": inst % 2 == 0}, sites=sites)
+                             spatial={"psi": inst % 2 == 0}, sites=sites,
+                             mesh=build_mesh(sites))
         theta = np.exp(rng.uniform(-2.0, 0.5, size=st.n_theta))
 
         # dense oracle for the collapsed marginal: eta_hat ~ N(0, D + Z Qn^-1 Z')

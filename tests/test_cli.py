@@ -5,15 +5,18 @@ asserted directly.  A shared pipeline fixture keeps the expensive steps
 (simulate + fit) to one run.
 """
 
+import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import runpy
 import shutil
 import subprocess
 import sys
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +202,32 @@ class TestFit:
                      "nu_draws.npy", "model.json"):
             assert _read(os.path.join(pipeline["fit"], name)) == \
                 _read(os.path.join(out2, name))
+
+    def test_at_least_four_kept_draws_per_chain(self, pipeline, tmp_path, capsys):
+        # split-Rhat takes two draws from each half of a chain: three kept
+        # draws once gave Rhat 1.0 from empty halves, four are the fewest it
+        # needs, and nothing warns on the way
+        def fit(n_kept):
+            cfg = tmp_path / f"kept{n_kept}.json"
+            cfg.write_text(json.dumps({**CONFIG, "mcmc": {"n_chains": 2, "n_iterations": 40,
+                                                          "n_kept": n_kept}}))
+            out = str(tmp_path / f"fit{n_kept}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return main(["fit", "--config", str(cfg), *pipeline["data"],
+                             "--out", out]), out
+
+        code, out = fit(3)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "n_kept" in err["message"]
+        assert not os.path.exists(out)
+        code, out = fit(4)
+        assert code == 0
+        with open(os.path.join(out, "theta_summary.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        assert all(math.isfinite(float(row["rhat"])) for row in rows)
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
     def test_draws_equal_on_one_cpu_and_all(self, pipeline, tmp_path):
@@ -519,6 +548,25 @@ class TestPredict:
                      "--fit", pipeline["fit"], "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_spatial_compared_as_section(self, pipeline, spatial_fit, tmp_path, capsys):
+        # the fit gave {"psi": true}; naming tau false as well is the same model
+        given = {k: v for k, v in CONFIG.items() if k != "spatial"}
+        outs = {}
+        for name, spatial in (("omitted", None), ("same", {"psi": True, "tau": False}),
+                              ("other", {"tau": True})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(given if spatial is None
+                                      else {**given, "spatial": spatial}))
+            outs[name] = str(tmp_path / name)
+            code = main(["predict", "--config", str(cfg), *pipeline["data"],
+                         "--fit", spatial_fit["fit"], "--out", outs[name]])
+            assert code == (2 if name == "other" else 0), name
+        assert (_read(os.path.join(outs["same"], "return_levels.csv"))
+                == _read(os.path.join(outs["omitted"], "return_levels.csv")))
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and "'spatial'" in err["message"]
+        assert not os.path.exists(outs["other"])
+
 
 class TestReturnLevels:
     def test_ungauged_outputs(self, pipeline, tmp_path):
@@ -639,6 +687,34 @@ class TestTrendAnchor:
             year=2010.0)) for posterior in (result, dataclasses.replace(result, t0=LINK.t0))]
         assert np.array_equal(levels, curves[0])
         assert not np.allclose(levels, curves[1], rtol=1e-9)
+
+    def test_year_beyond_trend_bound_refused(self, trend_fit, tmp_path, capsys):
+        # |delta| < delta0 keeps the location positive for every draw only
+        # within 1 / delta0 = 125 years of the anchor, and a NaN year is no
+        # year; a fit that omits t0 is anchored at 1975
+        fitted = {**CONFIG, "trend": True, "mcmc": {"n_chains": 1, "n_iterations": 60,
+                                                     "n_kept": 20}}
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps(fitted))
+        fit = str(tmp_path / "fit")
+        assert main(["fit", "--config", str(cfg), *trend_fit["data"], "--out", fit]) == 0
+        for year, code in ((2100.0, 0), (2101.0, 2), (math.nan, 2)):
+            query = tmp_path / f"q{year:.0f}.json"
+            query.write_text(json.dumps({**fitted, "predict": {"year": year}}))
+            for argv in _query_argvs(str(query), trend_fit["data"], fit, _targets(tmp_path),
+                                     str(tmp_path / f"{year:.0f}")):
+                capsys.readouterr()
+                assert main(argv) == code, (argv[0], year)
+                out = argv[argv.index("--out") + 1]
+                if code == 0:
+                    continue
+                err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+                assert err["error"] == "ConfigError"
+                assert f"{year:g}" in err["message"] and "1975" in err["message"]
+                assert not os.path.exists(out)
+        levels = np.loadtxt(os.path.join(tmp_path, "2100", "p", "return_levels.csv"),
+                            delimiter=",", skiprows=1, usecols=(3, 4, 5))
+        assert np.all(levels > 0.0)
 
     def test_query_t0_compared_as_anchor(self, pipeline, tmp_path, capsys):
         # the pipeline's fit omits t0, so its trend anchor is the link's t0;
@@ -922,6 +998,27 @@ class TestErrorSurface:
             self, pipeline, tmp_path, capsys, monkeypatch, command, config, key):
         # each of these once reached the work, and ended in a traceback or
         # wrote stations without maxima
+        message = self._refusal(pipeline, tmp_path, capsys, monkeypatch, command, config)
+        section, _, name = key.rpartition(".")
+        assert repr(section or name) in message and name in message
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("predict", {"return_periods": [1e17]}, "return_periods"),
+        ("predict", {"return_periods": [1.0]}, "return_periods"),
+        ("predict", {"return_periods": []}, "return_periods"),
+        ("predict", {"return_periods": [10 ** 400]}, "return_periods"),
+        ("simulate", {"return_periods": [0.5]}, "return_periods"),
+        ("aggregate", {"aggregate": {"periods": [1e17]}}, "aggregate.periods"),
+        ("aggregate", {"aggregate": {"periods": [10.0, 0.5]}}, "aggregate.periods"),
+        ("aggregate", {"aggregate": {"periods": []}}, "aggregate.periods"),
+        ("predict", {"predict": {"stations": []}}, "predict.stations"),
+        ("aggregate", {"aggregate": {"stations": []}}, "aggregate.stations"),
+    ])
+    def test_periods_and_stations_refused_at_load(self, pipeline, tmp_path, capsys,
+                                                  monkeypatch, command, config, key):
+        # periods at which 1 - 1/T is 1 in float64 once wrote inf and the
+        # pool's maximum, an integer period beyond float64 ended in a
+        # traceback, and an empty station list selected every station
         message = self._refusal(pipeline, tmp_path, capsys, monkeypatch, command, config)
         section, _, name = key.rpartition(".")
         assert repr(section or name) in message and name in message

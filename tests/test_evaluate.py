@@ -447,7 +447,7 @@ class TestRunCvGrouping:
         cv = CvConfig(n_heldout=3, seed=3, variants=list(self.VARIANTS), n_samples=500,
                       n_samples_trend=200)
         plan = make_cv_plan(ds, cv)
-        mesh = build_mesh(ds.sites)
+        mesh = build_mesh(ds.sites)  # as run_cv builds it: all sites, MeshOptions()
         mcmc = McmcConfig(n_chains=1, n_iterations=60, n_kept=10, seed=2)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
@@ -458,7 +458,7 @@ class TestRunCvGrouping:
                 return kde(samples, y)
 
             mp.setattr(evaluate, "kde_density", counted)
-            res = run_cv(ds, plan, cv, mcmc=mcmc, seed=1, mesh=mesh)
+            res = run_cv(ds, plan, cv, mcmc=mcmc, seed=1)
         ref = _per_cell_tables(ds, plan, cv, mcmc, seed=1, mesh=mesh)
         return res, ref, calls, plan
 

@@ -37,7 +37,7 @@ from spatgev.latent import (
     smooth_step,
 )
 from spatgev.site_fit import fit_all_sites
-from spatgev.spde import fem_matrices, precision_matrix
+from spatgev.spde import build_mesh, fem_matrices, precision_matrix
 
 
 def _stacked(J, seed, trend=False, n_years=50):
@@ -72,7 +72,8 @@ class TestMarginalLoglik:
     def test_dense_oracle_covariate_field(self):
         stacked, sites, rng = _stacked(10, 51)
         X = np.column_stack([np.ones(10), rng.standard_normal(10)])
-        st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True}, sites=sites)
+        st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True},
+                             sites=sites, mesh=build_mesh(sites))
         for _ in range(5):
             theta = np.exp(rng.uniform(-2.5, 1.0, size=st.n_theta))
             assert abs(marginal_loglik(st, theta) - _dense_marginal_logpdf(st, theta)) < 1e-8
@@ -81,7 +82,8 @@ class TestMarginalLoglik:
         # q=4 with fields on psi and tau
         stacked, sites, rng = _stacked(8, 52, trend=True)
         st = build_structure(
-            stacked, designs={}, spatial={"psi": True, "tau": True}, sites=sites
+            stacked, designs={}, spatial={"psi": True, "tau": True},
+            sites=sites, mesh=build_mesh(sites)
         )
         assert st.n_params == 4 and st.n_theta == 8
         for _ in range(3):
@@ -92,7 +94,8 @@ class TestMarginalLoglik:
         # J=5 against scipy's dense multivariate normal
         stacked, sites, rng = _stacked(5, 53)
         X = np.column_stack([np.ones(5), np.linspace(-1, 1, 5)])
-        st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True}, sites=sites)
+        st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True},
+                             sites=sites, mesh=build_mesh(sites))
         for _ in range(3):
             theta = np.exp(rng.uniform(-2.0, 0.5, size=st.n_theta))
             ref = _dense_marginal_logpdf(st, theta)
@@ -116,7 +119,8 @@ class TestStructure:
     def test_theta_names_and_slices(self):
         stacked, sites, rng = _stacked(6, 56)
         X = np.column_stack([np.ones(6), rng.standard_normal(6)])
-        st = build_structure(stacked, designs={"tau": X}, spatial={"psi": True}, sites=sites)
+        st = build_structure(stacked, designs={"tau": X}, spatial={"psi": True},
+                             sites=sites, mesh=build_mesh(sites))
         assert st.theta_names == ["eps_psi", "s_psi", "rho_psi", "eps_tau", "eps_phi"]
         assert st.nu_slices["psi"]["beta"] == slice(0, 1)
         n = st.mesh.n_nodes
@@ -127,7 +131,8 @@ class TestStructure:
     def test_z_reproduces_linear_predictor(self):
         stacked, sites, rng = _stacked(6, 57)
         X = np.column_stack([np.ones(6), rng.standard_normal(6)])
-        st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True}, sites=sites)
+        st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True},
+                             sites=sites, mesh=build_mesh(sites))
         nu = rng.standard_normal(st.n_nu)
         eta = st.Z @ nu
         beta = nu[st.nu_slices["psi"]["beta"]]
@@ -140,10 +145,14 @@ class TestStructure:
         stacked, sites, rng = _stacked(5, 58)
         with pytest.raises(ConfigError):
             build_structure(stacked, designs={}, spatial={"psi": True})
+        # the sites alone do not build a mesh
+        with pytest.raises(ConfigError):
+            build_structure(stacked, designs={}, spatial={"psi": True}, sites=sites)
 
     def test_prior_decomposes(self):
         stacked, sites, rng = _stacked(5, 59)
-        st = build_structure(stacked, designs={}, spatial={"psi": True}, sites=sites,
+        st = build_structure(stacked, designs={}, spatial={"psi": True},
+                             sites=sites, mesh=build_mesh(sites),
                              priors=Priors(s0=0.8, rho0=2.0, eps0=0.6))
         from spatgev.spde import nugget_prior_logdensity, pc_prior_logdensity
 
@@ -162,10 +171,12 @@ def _fixed_pattern_cases():
     """One-field and psi+tau-field structures with a few theta each."""
     stacked, sites, rng = _stacked(10, 55)
     X = np.column_stack([np.ones(10), rng.standard_normal(10)])
-    one = build_structure(stacked, designs={"psi": X}, spatial={"psi": True}, sites=sites)
+    one = build_structure(stacked, designs={"psi": X}, spatial={"psi": True},
+                          sites=sites, mesh=build_mesh(sites))
     stacked, sites, _ = _stacked(8, 56, trend=True)
     two = build_structure(stacked, designs={"psi": X[:8]},
-                          spatial={"psi": True, "tau": True}, sites=sites)
+                          spatial={"psi": True, "tau": True},
+                          sites=sites, mesh=build_mesh(sites))
     return [(st, np.exp(rng.uniform(-2.5, 1.0, size=(3, st.n_theta)))) for st in (one, two)]
 
 
@@ -267,7 +278,8 @@ class TestDroppedSites:
         stacked, sites, rng = _stacked(9, 57)
         X = np.column_stack([np.ones(9), rng.standard_normal(9)])
         three = build_structure(stacked, designs={"psi": X, "tau": X},
-                                spatial={"psi": True, "tau": True}, sites=sites)
+                                spatial={"psi": True, "tau": True},
+                                sites=sites, mesh=build_mesh(sites))
         four = _fixed_pattern_cases()[1][0]  # trend, psi and tau fields
         for st in (three, four):
             yield st, np.exp(rng.uniform(-2.5, 1.0, size=st.n_theta))
@@ -393,7 +405,7 @@ class TestConditionalSampling:
         # full 4 x 4 blocks and nu a field part per parameter
         stacked, sites, rng = _stacked(8, 52, trend=True)
         st = build_structure(stacked, designs={}, spatial={"psi": True, "tau": True},
-                             sites=sites)
+                             sites=sites, mesh=build_mesh(sites))
         theta = np.exp(rng.uniform(-2.0, 0.5, size=st.n_theta))
         self._assert_moments_match_dense(st, theta, seed=4)
 
@@ -401,7 +413,8 @@ class TestConditionalSampling:
         # one factor per run of equal rows must give the same bits as one
         # call per row on a shared generator, runs of one included
         stacked, sites, rng = _stacked(6, 62)
-        st = build_structure(stacked, designs={}, spatial={"psi": True}, sites=sites)
+        st = build_structure(stacked, designs={}, spatial={"psi": True},
+                             sites=sites, mesh=build_mesh(sites))
         base = np.exp(rng.uniform(-2.0, 0.5, size=(3, st.n_theta)))
         theta = base[[0, 0, 0, 1, 2, 2, 0]]
         eta, nu = sample_latent(st, theta, np.random.default_rng(5))
@@ -487,7 +500,8 @@ class TestMcmc:
     def test_workers_equal_the_serial_run(self, monkeypatch):
         # three chains on two workers against the serial loop, bit for bit
         stacked, sites, rng = _stacked(8, 66)
-        st = build_structure(stacked, designs={}, spatial={"psi": True}, sites=sites)
+        st = build_structure(stacked, designs={}, spatial={"psi": True},
+                             sites=sites, mesh=build_mesh(sites))
         cfg = McmcConfig(n_chains=3, n_iterations=300, n_kept=50, seed=13)
         runs = []
         for cores in ({0, 1}, {0}):
@@ -545,7 +559,8 @@ class TestSmoothStep:
     def test_end_to_end_shapes(self):
         stacked, sites, rng = _stacked(8, 64)
         X = np.column_stack([np.ones(8), rng.standard_normal(8)])
-        st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True}, sites=sites)
+        st = build_structure(stacked, designs={"psi": X}, spatial={"psi": True},
+                             sites=sites, mesh=build_mesh(sites))
         cfg = McmcConfig(n_chains=2, n_iterations=300, n_kept=50, seed=5)
         theta, res = smooth_step(st, cfg, t0=1990.0)
         assert theta.draws.shape == (100, st.n_theta)
