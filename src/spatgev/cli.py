@@ -66,6 +66,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import typing
@@ -255,9 +256,12 @@ class RunConfig:
 
 
 def _is_number(value) -> bool:
-    """A JSON number, an integer only within float64's range; a bool is not one."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (isinstance(value, float) or abs(value) <= sys.float_info.max))
+    """A finite JSON number, an integer only within float64's range; a bool
+    is not one, nor NaN or Infinity, which Python's json reads."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _matches(value, hint) -> bool:
@@ -352,6 +356,9 @@ def _station_table(path: str):
     lower = [n.lower() for n in names]
     if "x" not in lower or "y" not in lower:
         raise DataError(f"{path}: needs coordinate columns x and y")
+    finite = np.isfinite(values[:, [lower.index("x"), lower.index("y")]]).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: non-finite coordinates for station {ids[np.argmin(finite)]}")
     desc_cols = [k for k, n in enumerate(lower) if n not in ("x", "y", "pooling_ok")]
     return ids, values, lower, [names[k] for k in desc_cols], desc_cols
 

@@ -605,11 +605,10 @@ def empirical_variogram(values, coords, bin_edges) -> tuple:
         raise DataError("values and coordinates differ in length")
     if values.size < 2:
         raise DataError("variogram needs at least two sites")
-    from scipy import spatial
-
     bin_edges = np.asarray(bin_edges, dtype=float)
-    d = spatial.distance.pdist(coords)
-    sq = spatial.distance.pdist(values[:, None], metric="sqeuclidean")
+    i, j = np.triu_indices(values.size, k=1)  # each pair once, as pdist orders them
+    d = np.sqrt(((coords[i] - coords[j]) ** 2).sum(axis=1))
+    sq = (values[i] - values[j]) ** 2
     which = np.digitize(d, bin_edges) - 1
     n_bins = bin_edges.size - 1
     gamma = np.full(n_bins, math.nan)

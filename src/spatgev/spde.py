@@ -11,9 +11,12 @@ deviation s away from the boundary.  rho is the distance at which the
 correlation has fallen to about 0.14.
 
 The mesh covers the convex hull of the observation sites plus a buffer ring so
-that boundary effects stay away from the sites.  Field values at arbitrary
-points come from a barycentric projector.  scipy is imported by the functions
-that use it: a stored mesh projects points with numpy alone.
+that boundary effects stay away from the sites.  It needs numpy only: a
+monotone-chain hull and a Bowyer-Watson Delaunay triangulation (Watson 1981).
+The interior grid and the ring are bumped by fixed-seed streams, so no four
+nodes are cocircular and the triangulation is unique.  Field values at
+arbitrary points come from a barycentric projector.  scipy.sparse is imported
+by the functions that use it: a stored mesh projects points with numpy alone.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .errors import DataError, NumericalError
 
 if TYPE_CHECKING:
     from scipy import sparse
-    from scipy.spatial import ConvexHull
 
 __all__ = [
     "MeshOptions",
@@ -51,6 +53,27 @@ __all__ = [
 _PC_TAIL = -math.log(0.05)
 # a barycentric weight this far below zero still counts as inside the triangle
 _INSIDE_TOL = 1e-12
+# sites whose hull has less area than this times the squared diameter are
+# collinear to rounding
+_FLAT_TOL = 1e-10
+# the interior grid moves by up to this fraction of its spacing per axis, so
+# no four nodes are cocircular
+_GRID_BUMP = 0.05
+_GRID_BUMP_SEED = 0x6D1D
+# directions of the enclosing triangle's corners at infinity; no difference of
+# two is parallel to an axis or a diagonal
+_SUPER = np.column_stack([np.cos(1.0 + np.arange(3) * 2.0 * np.pi / 3.0),
+                          np.sin(1.0 + np.arange(3) * 2.0 * np.pi / 3.0)])
+# rounding bounds of _delaunay's tests, over r, r^2 and r^4 for corners within
+# r of the point per axis (unit roundoff 2^-53): Shewchuk's orient2d and
+# incircle bounds, 3 and 10 roundoffs of a permanent at most 2 r^2 and 12 r^4,
+# rounded up; the far-corner test's directions are unit only to rounding
+_EPS = 2.0**-53
+_CCW_ERR = 8.0 * _EPS
+_ICC_ERR = 160.0 * _EPS
+_FAR_ERR = 64.0 * _EPS
+# rows k, k + 1, k + 2 of a triangle's corners listed twice start it at corner k
+_ROTATE = np.arange(3)[:, None]
 
 
 @dataclass(frozen=True)
@@ -143,14 +166,139 @@ class Mesh:
         return C, G, (G @ c_inv @ G).tocsc()
 
 
-def _buffer_ring(hull: ConvexHull, offset: float, spacing: float) -> np.ndarray:
+def _cross(o, a, b) -> float:
+    """z-component of (a - o) x (b - o): positive when o, a, b turn left."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _convex_hull(points: np.ndarray) -> np.ndarray:
+    """Indices of the hull vertices in counter-clockwise order.
+
+    Andrew's monotone chain over the points sorted by x, then y.  A point on
+    a hull edge is not a vertex; collinear points give two vertices.
+    """
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    xy = points[order].tolist()
+
+    def chain(idx) -> list:
+        out: list[int] = []
+        for k in idx:
+            while len(out) >= 2 and _cross(xy[out[-2]], xy[out[-1]], xy[k]) <= 0.0:
+                out.pop()
+            out.append(k)
+        return out
+
+    lower = chain(range(len(xy)))
+    upper = chain(range(len(xy) - 1, -1, -1))
+    return order[lower[:-1] + upper[:-1]]
+
+
+def _polygon_area(verts: np.ndarray) -> float:
+    """Area of a counter-clockwise polygon (shoelace formula)."""
+    nxt = np.roll(verts, -1, axis=0)
+    return 0.5 * float(np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
+
+
+def _exact_inside(rows: np.ndarray, n_far: int, p: np.ndarray) -> bool:
+    """_delaunay's test for one triangle in exact rational arithmetic.
+
+    rows are the triangle's corners, a direction for a corner at infinity.
+    A point exactly on a circle, or on a half-plane's line, is outside, save
+    on the open segment of a one-corner triangle's finite edge.  fractions
+    (with decimal) is imported here, as few meshes need it.
+    """
+    from fractions import Fraction
+
+    px, py = Fraction(p[0]), Fraction(p[1])
+    (ax, ay), (bx, by), (cx, cy) = ((Fraction(x), Fraction(y)) for x, y in rows.tolist())
+    ax, ay = ax - px, ay - py
+    if n_far == 2:  # leading term of the circle through a and two far corners
+        nb, nc = bx * bx + by * by, cx * cx + cy * cy
+        return ax * (nc * by - nb * cy) - ay * (nc * bx - nb * cx) > 0
+    bx, by = bx - px, by - py
+    ab = ax * by - ay * bx
+    if n_far == 1:
+        return ab > 0 or (ab == 0 and ax * bx + ay * by < 0)
+    cx, cy = cx - px, cy - py
+    return ((ax * ax + ay * ay) * (bx * cy - by * cx) + (bx * bx + by * by) * (cx * ay - cy * ax)
+            + (cx * cx + cy * cy) * ab) > 0
+
+
+def _delaunay(points: np.ndarray) -> np.ndarray:
+    """Delaunay triangles of the points, counter-clockwise rows, sorted.
+
+    Bowyer-Watson: each point in turn removes every triangle whose open
+    circumdisk holds it, and joins itself to the boundary of that cavity,
+    with one vectorized test over all triangles.  The enclosing triangle's
+    corners lie at infinity in the _SUPER directions, and each test is the
+    limit of the circle test as they recede: a triangle with one such corner
+    holds the open half-plane beyond its finite edge, and one with two the
+    half-plane beyond the line through its finite corner parallel to theirs.
+    So no hull triangle is lost to a finite enclosing triangle.  Corners at
+    infinity stay last in each row, which tells the tests apart.
+
+    A test whose floating-point value is within its rounding bound (those of
+    Shewchuk's orient2d and incircle) is redone exactly, so every decision
+    is exact and each cavity is star-shaped, even for cocircular points.
+    Each row is rotated to start at its lowest index, and the rows are
+    sorted.  A Delaunay triangulation with no four cocircular points is
+    unique.
+    """
+    n = points.shape[0]
+    # row n + k holds the direction of corner k at infinity
+    pts = np.vstack([points, _SUPER])
+    # column-major: tris[:, t] are triangle t's corners, xy[:, t] their coordinates
+    tris = np.array([[0, 0, 0], [n, n + 1, n + 2], [n + 1, n + 2, n]])
+    xy = pts[tris].transpose(0, 2, 1).reshape(6, -1)
+    # every finite corner lies within reach[i] of point i along each axis
+    reach = np.max(np.maximum(points.max(axis=0) - points, points - points.min(axis=0)), axis=1)
+    tiled = np.tile(points, 3)[:, :, None]
+    for i in range(1, n):
+        ax, ay, bx, by, cx, cy = xy - tiled[i]
+        ab = ax * by - ay * bx
+        two_far, any_far = tris[1:] >= n
+        value = np.where(
+            any_far,
+            np.where(two_far, ax * (xy[3] - xy[5]) - ay * (xy[2] - xy[4]), ab),
+            (ax * ax + ay * ay) * (bx * cy - by * cx) + (bx * bx + by * by) * (cx * ay - cy * ax)
+            + (cx * cx + cy * cy) * ab)
+        r = float(reach[i])
+        bound = np.where(any_far, np.where(two_far, _FAR_ERR * r, _CCW_ERR * r * r),
+                         _ICC_ERR * r**4)
+        inside = value > 0.0
+        for t in np.nonzero(np.abs(value) <= bound)[0]:
+            inside[t] = _exact_inside(xy[:, t].reshape(3, 2),
+                                      int(np.count_nonzero(tris[:, t] >= n)), points[i])
+        u = tris[:, inside]
+        tris, xy = tris[:, ~inside], xy[:, ~inside]
+        v = u[[1, 2, 0]].ravel()
+        u = u.ravel()
+        # a cavity edge whose reverse is also a cavity edge lies inside it
+        outer = ~((u[:, None] == v) & (v[:, None] == u)).any(axis=1)
+        # a cavity that is a disc, and so holds the node, has two more outer
+        # edges than triangles
+        if np.count_nonzero(outer) != np.count_nonzero(inside) + 2:
+            raise NumericalError(f"triangulation failed at node {i}")
+        u, v = u[outer], v[outer]
+        # (u, v, i), rotated so corners at infinity come last
+        cyc = np.array([u, v, np.full(u.size, i), u, v])
+        new = cyc[np.where(v >= n, 2, u >= n) + _ROTATE, np.arange(u.size)]
+        tris = np.concatenate([tris, new], axis=1)
+        xy = np.concatenate([xy, pts[new].transpose(0, 2, 1).reshape(6, -1)], axis=1)
+    tris = tris[:, np.all(tris < n, axis=0)]
+    cyc = np.concatenate([tris, tris[:2]])
+    tris = cyc[np.argmin(tris, axis=0) + _ROTATE, np.arange(tris.shape[1])].T
+    return tris[np.lexsort(tris.T[::-1])]
+
+
+def _buffer_ring(verts: np.ndarray, offset: float, spacing: float) -> np.ndarray:
     """Points on the hull boundary pushed outward along edge normals.
 
-    The offset is modulated point by point (deterministically, by a few
-    percent) so no three ring points are exactly collinear; collinear hull
-    points make the triangulation emit zero-area simplices.
+    verts are the hull vertices in counter-clockwise order.  The offset is
+    modulated point by point (deterministically, by a few percent) so no
+    three ring points are exactly collinear; collinear hull points make the
+    triangulation emit zero-area triangles.
     """
-    verts = hull.points[hull.vertices]  # counter-clockwise
     ring = []
     # fixed-seed stream: deterministic, but with no arithmetic structure that
     # could keep consecutive points collinear
@@ -183,23 +331,6 @@ def _buffer_ring(hull: ConvexHull, offset: float, spacing: float) -> np.ndarray:
     return np.asarray(ring)
 
 
-def _edge_distance(points: np.ndarray, hull: ConvexHull) -> np.ndarray:
-    """Distance from each point to the nearest hull edge."""
-    verts = hull.points[hull.vertices]
-    k = len(verts)
-    dists = np.full(points.shape[0], np.inf)
-    for i in range(k):
-        v0, v1 = verts[i], verts[(i + 1) % k]
-        edge = v1 - v0
-        L2 = float(edge @ edge)
-        if L2 == 0.0:
-            continue
-        t = np.clip((points - v0) @ edge / L2, 0.0, 1.0)
-        proj = v0 + t[:, None] * edge
-        dists = np.minimum(dists, np.linalg.norm(points - proj, axis=1))
-    return dists
-
-
 def _thin_points(points: np.ndarray, min_sep: float, keep: int = 0) -> np.ndarray:
     """Greedy pass dropping points closer than min_sep to an earlier point.
 
@@ -223,11 +354,12 @@ def build_mesh(sites: np.ndarray, options: MeshOptions | None = None) -> Mesh:
     """Triangulate the sites together with an interior grid and a buffer ring.
 
     The sites themselves are always mesh nodes (the first n_sites ones).
-    Raises DataError for fewer than three sites, duplicate sites, or a
-    degenerate (collinear) configuration.
+    The grid is bumped once by a fixed-seed stream, and the ring by another,
+    so no four nodes are cocircular unless four sites are, and the Delaunay
+    triangulation is unique.  It needs numpy only.  Raises DataError for
+    fewer than three sites, non-finite or duplicate sites, or a degenerate
+    (collinear) configuration.
     """
-    from scipy.spatial import ConvexHull, Delaunay, QhullError
-
     options = options or MeshOptions()
     options.validate()
     sites = np.asarray(sites, dtype=float)
@@ -235,6 +367,9 @@ def build_mesh(sites: np.ndarray, options: MeshOptions | None = None) -> Mesh:
         raise DataError("sites must be an (n, 2) array of coordinates")
     if sites.shape[0] < 3:
         raise DataError("mesh needs at least 3 sites")
+    if not np.all(np.isfinite(sites)):
+        bad = np.flatnonzero(~np.all(np.isfinite(sites), axis=1))
+        raise DataError(f"non-finite site coordinates at rows {bad.tolist()}")
     d = sites[:, None, :] - sites[None, :, :]
     dist = np.sqrt((d**2).sum(-1))
     diameter = float(dist.max())
@@ -242,47 +377,41 @@ def build_mesh(sites: np.ndarray, options: MeshOptions | None = None) -> Mesh:
     if dist.min() == 0.0:
         raise DataError("duplicate site coordinates")
 
-    try:
-        hull = ConvexHull(sites)
-    except QhullError as exc:
-        raise DataError(f"sites are degenerate (collinear?): {exc}") from exc
+    hull = sites[_convex_hull(sites)]
+    if len(hull) < 3 or _polygon_area(hull) <= _FLAT_TOL * diameter**2:
+        raise DataError("sites are degenerate (collinear)")
 
     interior_spacing = diameter / options.interior_divisor
     buffer_offset = options.buffer_fraction * diameter
     buffer_spacing = diameter / options.buffer_divisor
 
-    # regular grid clipped to the hull interior, kept clear of the sites and
-    # of the hull boundary so no sliver triangles appear
+    # bumped regular grid, kept inside the hull and clear of the sites and of
+    # the hull boundary so no sliver triangles appear
     lo = sites.min(axis=0)
     hi = sites.max(axis=0)
     gx = np.arange(lo[0], hi[0] + interior_spacing, interior_spacing)
     gy = np.arange(lo[1], hi[1] + interior_spacing, interior_spacing)
     grid = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
-
-    hull_tri = Delaunay(sites)
-    grid = grid[hull_tri.find_simplex(grid) >= 0]
+    grid += interior_spacing * np.random.default_rng(_GRID_BUMP_SEED).uniform(
+        -_GRID_BUMP, _GRID_BUMP, size=grid.shape)
     clearance = options.site_exclusion_fraction * interior_spacing
+    # inside a convex polygon, the distance to the boundary is the least
+    # distance to an edge's line; outside, one signed distance is negative
+    edges = np.roll(hull, -1, axis=0) - hull
+    rel = grid[:, None, :] - hull
+    depth = (edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0]) / np.hypot(*edges.T)
+    grid = grid[depth.min(axis=1) > clearance]
     if grid.size:
         gd = grid[:, None, :] - sites[None, :, :]
         gdist = np.sqrt((gd**2).sum(-1)).min(axis=1)
         grid = grid[gdist > clearance]
-    if grid.size:
-        grid = grid[_edge_distance(grid, hull) > clearance]
 
     ring = _buffer_ring(hull, buffer_offset, buffer_spacing)
     ring = _thin_points(ring, 0.25 * buffer_spacing)
 
     points = np.vstack([sites, grid, ring]) if ring.size else np.vstack([sites, grid])
     points = _thin_points(points, 1e-8 * diameter, keep=sites.shape[0])
-    try:
-        tri = Delaunay(points)
-    except QhullError as exc:
-        raise DataError(f"triangulation failed: {exc}") from exc
-    # every site must be a vertex of the triangulation
-    used = np.unique(tri.simplices)
-    if not np.all(np.isin(np.arange(sites.shape[0]), used)):
-        raise NumericalError("a site was dropped from the triangulation")
-    return Mesh(points=points, triangles=tri.simplices, n_sites=sites.shape[0],
+    return Mesh(points=points, triangles=_delaunay(points), n_sites=sites.shape[0],
                 diameter=diameter)
 
 

@@ -437,6 +437,39 @@ class TestFitDirectory:
                              timeout=120)
         assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0, 0], []]
 
+    def test_mesh_commands_load_no_scipy_spatial(self, pipeline, tmp_path):
+        # a fresh process runs every command that builds a mesh; the mesh
+        # needs numpy only, so none of them loads scipy.spatial
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            **CONFIG, "spatial": {"psi": True},
+            "mcmc": {"n_chains": 1, "n_iterations": 40, "n_kept": 10},
+            "cv": {**CONFIG["cv"], "variants": ["CONST", "LGM-FULL"]}}))
+        common = ["--config", str(cfg), *pipeline["data"]]
+        argvs = [["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")],
+                 *([cmd, *common, "--out", str(tmp_path / cmd)] for cmd in ("fit", "select", "cv"))]
+        code = "\n".join([
+            "import json, sys",
+            "import spatgev.cli, spatgev.evaluate, spatgev.simulate, spatgev.spde",
+            "calls = []",
+            "def build_mesh(*args, _fn=spatgev.spde.build_mesh, **kwargs):",
+            "    calls.append(1)",
+            "    return _fn(*args, **kwargs)",
+            "for module in (spatgev.cli, spatgev.evaluate, spatgev.simulate):",
+            "    module.build_mesh = build_mesh",
+            "codes = []",
+            f"for argv in {argvs!r}:",
+            "    n = len(calls)",
+            "    codes.append([spatgev.cli.main(argv), len(calls) > n])",
+            "print(json.dumps([codes, sorted(m for m in sys.modules",
+            "                                if m.startswith('scipy.spatial'))]))",
+        ])
+        src = os.path.dirname(os.path.dirname(spatgev.cli.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True,
+                             timeout=300)
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == [[[0, True]] * 4, []]
+
     def _refused(self, capsys, argv, name):
         assert main(argv) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -593,6 +626,19 @@ class TestReturnLevels:
         assert err["error"] == "DataError"
         assert "c1" in err["message"]
 
+    def test_non_finite_target_coordinate_refused(self, pipeline, tmp_path, capsys):
+        targets = tmp_path / "targets.csv"
+        targets.write_text("station,x,y,c1,c2\nt001,50.0,50.0,0.5,-0.2\n"
+                           "t002,nan,50.0,0.5,-0.2\n")
+        code = main(["return-levels", "--config", pipeline["cfg"],
+                     *pipeline["data"], "--fit", pipeline["fit"],
+                     "--targets", str(targets), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert str(targets) in err["message"] and "t002" in err["message"]
+        assert not os.path.exists(tmp_path / "o")
+
     def test_missing_covariate_in_targets(self, pipeline, tmp_path, capsys):
         # the model takes c1 on psi and tau; the targets give only c2
         targets = tmp_path / "targets.csv"
@@ -710,7 +756,9 @@ class TestTrendAnchor:
                     continue
                 err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
                 assert err["error"] == "ConfigError"
-                assert f"{year:g}" in err["message"] and "1975" in err["message"]
+                # the loader refuses a NaN year as no number, the trend bound 2101
+                named = ["'predict.year'"] if math.isnan(year) else [f"{year:g}", "1975"]
+                assert all(word in err["message"] for word in named), err["message"]
                 assert not os.path.exists(out)
         levels = np.loadtxt(os.path.join(tmp_path, "2100", "p", "return_levels.csv"),
                             delimiter=",", skiprows=1, usecols=(3, 4, 5))
@@ -1023,6 +1071,21 @@ class TestErrorSurface:
         section, _, name = key.rpartition(".")
         assert repr(section or name) in message and name in message
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("fit", {"priors": {"s0": math.nan}, "spatial": {"psi": True}}, "priors.s0"),
+        ("fit", {"priors": {"s0": math.inf}, "spatial": {"psi": True}}, "priors.s0"),
+        ("fit", {"mesh": {"interior_divisor": math.nan}, "spatial": {"psi": True}},
+         "mesh.interior_divisor"),
+        ("predict", {"predict": {"year": math.inf}}, "predict.year"),
+        ("aggregate", {"aggregate": {"weights": [math.nan]}}, "aggregate.weights"),
+    ])
+    def test_non_finite_config_number_refused_before_work(self, pipeline, tmp_path, capsys,
+                                                         monkeypatch, command, config, key):
+        # Python's json reads NaN and Infinity; each of these once reached
+        # the work and ended in a traceback, a failed sampler or NaN levels
+        message = self._refusal(pipeline, tmp_path, capsys, monkeypatch, command, config)
+        assert repr(key) in message
+
     @pytest.mark.parametrize("config, named", _config_surface())
     def test_config_surface_refused_before_work(self, pipeline, tmp_path, capsys,
                                                 monkeypatch, config, named):
@@ -1049,6 +1112,25 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError"
         assert "c2" in err["message"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["fit", "select", "fit-sites"])
+    def test_non_finite_coordinate_refused(self, pipeline, tmp_path, capsys, command, value):
+        with open(os.path.join(pipeline["sim"], "sites.csv")) as fh:
+            lines = fh.read().splitlines()
+        row = lines[2].split(",")
+        assert row[0] == "s002"
+        row[lines[0].split(",").index("x")] = value
+        lines[2] = ",".join(row)
+        sites = tmp_path / "sites.csv"
+        sites.write_text("\n".join(lines) + "\n")
+        code = main([command, "--config", pipeline["cfg"], "--maxima", pipeline["data"][1],
+                     "--sites", str(sites), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert str(sites) in err["message"] and "s002" in err["message"]
+        assert not os.path.exists(tmp_path / "o")
 
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as exc:

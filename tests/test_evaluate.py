@@ -551,6 +551,22 @@ class TestVariogram:
         assert gamma[0] < gamma[-1]
         assert 0.5 * 0.7**2 < gamma[-1] < 1.8 * 0.7**2
 
+    def test_matches_pdist(self):
+        # the pairwise distances and squared differences are numpy's own;
+        # scipy's pdist, in the same pair order, is the oracle
+        from scipy.spatial.distance import pdist
+
+        rng = np.random.default_rng(25)
+        coords = rng.uniform(0.0, 10.0, size=(60, 2))
+        vals = rng.normal(size=60)
+        edges = np.array([0.0, 1.5, 3.0, 6.0, 15.0])
+        d, sq = pdist(coords), pdist(vals[:, None], metric="sqeuclidean")
+        which = np.digitize(d, edges) - 1
+        _, gamma, counts = empirical_variogram(vals, coords, edges)
+        assert counts.tolist() == [int(np.sum(which == b)) for b in range(4)]
+        assert_allclose(gamma, [0.5 * sq[which == b].mean() for b in range(4)],
+                        rtol=1e-12, atol=0.0)
+
     def test_duplicate_coordinates_in_zero_bin(self):
         coords = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]])
         vals = np.array([1.0, 2.0, 5.0])

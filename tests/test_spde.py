@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
 from matern_oracle import matern_correlation, precision_logdet
 from spatgev.errors import DataError
+from spatgev.simulate import Scenario, simulate_dataset
 from spatgev.spde import (
     Mesh,
     MeshOptions,
+    _convex_hull,
     build_mesh,
     fem_matrices,
     nugget_prior_logdensity,
@@ -34,6 +36,25 @@ MATERN_AT_RHO = 0.13966747401529314
 def _sites(n=40, seed=31):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 10.0, size=(n, 2))
+
+
+def _triangle_set(triangles):
+    """Triangles as a set of sorted corner triples: order-free equality."""
+    return {tuple(sorted(t)) for t in np.asarray(triangles).tolist()}
+
+
+# the meshes of both benchmark workloads' seeds (60 sites with a trend),
+# 40 random site sets of 3-199 sites, and 554 simulated sites
+ORACLE_SITE_SETS = ([("workload60", 11), ("workload60", 9)]
+                    + [("random", seed) for seed in range(40)] + [("simulated554", 1)])
+
+
+def _oracle_sites(kind, seed):
+    if kind == "random":
+        rng = np.random.default_rng(1000 + seed)
+        return rng.uniform(0.0, 10.0, size=(int(rng.integers(3, 200)), 2))
+    scenario = Scenario(n_sites=60, trend=True) if kind == "workload60" else Scenario(n_sites=554)
+    return simulate_dataset(scenario, seed=seed).dataset.sites
 
 
 class TestMesh:
@@ -76,6 +97,61 @@ class TestMesh:
             build_mesh(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         with pytest.raises(DataError):
             build_mesh(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]))
+        # collinear up to 1e-15 relative: the hull has no area to mesh
+        with pytest.raises(DataError, match="collinear"):
+            build_mesh(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0 * (1.0 + 1e-15)]]))
+        with pytest.raises(DataError, match=r"non-finite .* rows \[1\]"):
+            build_mesh(np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0], [0.5, 1.0]]))
+
+    @pytest.mark.parametrize("kind, seed", ORACLE_SITE_SETS)
+    def test_matches_qhull(self, kind, seed):
+        # oracle: Qhull's Delaunay triangulation of the same nodes and its
+        # hull of the sites; the bumped grid leaves one Delaunay triangulation
+        sites = _oracle_sites(kind, seed)
+        mesh = build_mesh(sites)
+        assert _triangle_set(mesh.triangles) == _triangle_set(Delaunay(mesh.points).simplices)
+        assert set(_convex_hull(sites).tolist()) == set(ConvexHull(sites).vertices.tolist())
+        # every triangle is counter-clockwise with positive area
+        e1, e2 = (mesh.points[mesh.triangles[:, k]] - mesh.points[mesh.triangles[:, 0]]
+                  for k in (1, 2))
+        assert np.all(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0)
+
+
+    def test_cocircular_sites(self, monkeypatch):
+        # a rotated integer grid: many sites are cocircular to rounding, so
+        # the circle tests near a tie are redone exactly; the result is still
+        # a triangulation of the hull with empty circumcircles
+        import spatgev.spde
+
+        exact = []
+
+        def counted(*args, _fn=spatgev.spde._exact_inside):
+            exact.append(1)
+            return _fn(*args)
+
+        monkeypatch.setattr(spatgev.spde, "_exact_inside", counted)
+        grid = np.stack(np.meshgrid(np.arange(10.0), np.arange(8.0)), axis=-1).reshape(-1, 2)
+        sites = grid @ np.array([[0.6, 0.8], [-0.8, 0.6]])
+        mesh = build_mesh(sites)
+        assert exact
+        pts, tri = mesh.points, mesh.triangles
+        e1, e2 = pts[tri[:, 1]] - pts[tri[:, 0]], pts[tri[:, 2]] - pts[tri[:, 0]]
+        area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        assert np.all(area2 > 0.0)
+        hull = pts[ConvexHull(pts).vertices]
+        hull_area = 0.5 * abs(np.sum(hull[:, 0] * np.roll(hull[:, 1], -1)
+                                     - np.roll(hull[:, 0], -1) * hull[:, 1]))
+        assert_allclose(0.5 * area2.sum(), hull_area, rtol=1e-12)
+        assert np.unique(tri).size == mesh.n_nodes
+        # no node lies inside a triangle's circumcircle, beyond rounding
+        a, b, c = (pts[tri[:, k]][:, None, :] - pts[None, :, :] for k in range(3))
+
+        def cross(u, v):
+            return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+        incircle = ((a * a).sum(-1) * cross(b, c) + (b * b).sum(-1) * cross(c, a)
+                    + (c * c).sum(-1) * cross(a, b))
+        assert incircle.max() <= 1e-9 * mesh.diameter**4
 
 
 class TestFemMatrices:
@@ -196,7 +272,7 @@ class TestProjector:
         # same triangulation
         mesh = build_mesh(_sites(n=n_sites, seed=seed))
         tri = Delaunay(mesh.points)
-        assert np.array_equal(tri.simplices, mesh.triangles)
+        assert _triangle_set(tri.simplices) == _triangle_set(mesh.triangles)
         rng = np.random.default_rng(seed + 1)
         pts = rng.uniform(0.5, 9.5, size=(1000, 2))
         simplex = tri.find_simplex(pts)
